@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalOverflowError, OverflowAbortError, ParameterError
+from .errors import NumericalOverflowError, OverflowAbortError, ParameterError, require_integer
 from .rng import RngStream
 
 PRIOR_FAMILIES = frozenset({"gaussian", "laplace", "generalized_gaussian"})
@@ -71,7 +71,11 @@ class NetworkConfig:
     tracked_unit: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        require_integer("input_dim", self.input_dim)
+        widths = tuple(self.widths)
+        for w in widths:
+            require_integer("widths entry", w)
+        object.__setattr__(self, "widths", tuple(int(w) for w in widths))
         object.__setattr__(self, "layer_priors", tuple(self.layer_priors))
         if self.input_dim < 1:
             raise ParameterError("input_dim must be >= 1")

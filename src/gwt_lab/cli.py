@@ -16,24 +16,17 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
 from .bnn_sampler import (
     LayerPrior,
     NetworkConfig,
+    predicted_tail_parameter,
     run_prior_monte_carlo,
 )
-from .closure_lab import (
-    check_power_rule,
-    check_product_rule,
-    check_sum_rule,
-    closure_tolerance,
-    estimate_pd_constant,
-    feasible_z_quantiles,
-    negative_control_truncation,
-    weight_unit_product_samples,
-)
+from .closure_lab import closure_suite, closure_tolerance
 from .errors import (
     ConfigError,
     DegenerateTailError,
@@ -47,7 +40,6 @@ from .tail_distributions import DistributionSpec, sample_iid
 from .tail_estimation import (
     EmpiricalTail,
     FitWindow,
-    check_subweibull_envelope,
     estimate_tail_index,
     loglog_points,
 )
@@ -55,8 +47,6 @@ from .tail_estimation import (
 DESK_SCALE_N = 10**5
 FULL_SCALE_N = 10**6
 DEFAULT_OUT_DIR = "gwt-lab-out"
-
-SUITES = ("sum", "product", "power", "pd", "negatives", "all")
 
 _TOP_KEYS = {"command", "seed", "n_samples", "network", "fit_window", "suite", "out_dir", "distribution"}
 _NETWORK_KEYS = {"input_dim", "widths", "activation", "priors"}
@@ -68,10 +58,14 @@ _DISTRIBUTION_KEYS = {"family", "params"}
 # ----------------------------- config ---------------------------------
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str):
+def _check_object(obj, allowed: set, where: str) -> dict:
+    """Return obj if it is a JSON object with only allowed keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"'{where}' must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    return obj
 
 
 def load_config(path: str) -> dict:
@@ -82,19 +76,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(cfg, _TOP_KEYS, "config")
-    return cfg
-
-
-def _positive_int(cfg: dict, key: str, default=None):
-    v = cfg.get(key, default)
-    if v is None:
-        return None
-    if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-        raise ConfigError(f"'{key}' must be a positive integer, got {v!r}")
-    return v
+    return _check_object(cfg, _TOP_KEYS, "config")
 
 
 def resolve_seed(cfg: dict, override) -> int:
@@ -109,14 +91,16 @@ def resolve_seed(cfg: dict, override) -> int:
 def resolve_n_samples(cfg: dict, full: bool) -> int:
     if full:
         return FULL_SCALE_N
-    return _positive_int(cfg, "n_samples") or DESK_SCALE_N
+    n = cfg.get("n_samples")
+    if n is None:
+        return DESK_SCALE_N
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
+        raise ConfigError(f"'n_samples' must be a positive integer, got {n!r}")
+    return n
 
 
 def parse_fit_window(cfg: dict) -> FitWindow:
-    raw = cfg.get("fit_window", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("'fit_window' must be an object")
-    _reject_unknown(raw, _WINDOW_KEYS, "fit_window")
+    raw = _check_object(cfg.get("fit_window", {}), _WINDOW_KEYS, "fit_window")
     try:
         return FitWindow(
             q_lo=raw.get("q_lo", FitWindow.q_lo),
@@ -124,7 +108,7 @@ def parse_fit_window(cfg: dict) -> FitWindow:
             grid_size=raw.get("grid_size", FitWindow.grid_size),
             min_points=raw.get("min_points", FitWindow.min_points),
         )
-    except ParameterError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fit_window: {exc}") from exc
 
 
@@ -132,13 +116,13 @@ def parse_network(cfg: dict, seed: int, n_samples: int) -> NetworkConfig:
     raw = cfg.get("network")
     if raw is None:
         raise ConfigError("bnn command needs a 'network' section")
-    _reject_unknown(raw, _NETWORK_KEYS, "network")
+    _check_object(raw, _NETWORK_KEYS, "network")
     priors_raw = raw.get("priors")
     if not isinstance(priors_raw, list) or not priors_raw:
         raise ConfigError("'network.priors' must be a nonempty list")
     priors = []
     for i, p in enumerate(priors_raw):
-        _reject_unknown(p, _PRIOR_KEYS, f"network.priors[{i}]")
+        _check_object(p, _PRIOR_KEYS, f"network.priors[{i}]")
         try:
             priors.append(
                 LayerPrior(
@@ -147,7 +131,7 @@ def parse_network(cfg: dict, seed: int, n_samples: int) -> NetworkConfig:
                     scale_policy=p.get("scale_policy", "inv_sqrt_fan_in"),
                 )
             )
-        except ParameterError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad prior [{i}]: {exc}") from exc
     try:
         return NetworkConfig(
@@ -158,7 +142,7 @@ def parse_network(cfg: dict, seed: int, n_samples: int) -> NetworkConfig:
             n_samples=n_samples,
             seed=seed,
         )
-    except ParameterError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad network: {exc}") from exc
 
 
@@ -166,14 +150,14 @@ def parse_distribution(cfg: dict) -> DistributionSpec | None:
     raw = cfg.get("distribution")
     if raw is None:
         return None
-    _reject_unknown(raw, _DISTRIBUTION_KEYS, "distribution")
+    _check_object(raw, _DISTRIBUTION_KEYS, "distribution")
     family = raw.get("family")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("'distribution.params' must be an object")
     try:
         return DistributionSpec(family, {k: float(v) for k, v in params.items()})
-    except (ParameterError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad distribution: {exc}") from exc
 
 
@@ -212,16 +196,6 @@ def write_bundle(out_dir: str, summary: dict, curve_rows) -> None:
         raise
 
 
-def _estimate_to_dict(est) -> dict:
-    return {
-        "beta_hat": est.beta_hat,
-        "intercept": est.intercept,
-        "stderr_slope": est.stderr_slope,
-        "fit_points": est.fit_points,
-        "x_range": list(est.x_range),
-    }
-
-
 def _points_rows(label: str, points: np.ndarray):
     return [(label, float(p[0]), float(p[1])) for p in points]
 
@@ -236,7 +210,7 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int) -> in
     layers = []
     rows = []
     for l in range(netcfg.depth):
-        predicted = 1.0 / sum(1.0 / p.tail_beta_w for p in netcfg.layer_priors[: l + 1])
+        predicted = predicted_tail_parameter(netcfg.layer_priors, l + 1)
         samples = trace.g[l]
         if trace.overflow_replicates.size:
             samples = samples[np.isfinite(samples)]
@@ -248,7 +222,7 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int) -> in
             {
                 "layer": l + 1,
                 "predicted_beta": predicted,
-                **_estimate_to_dict(est),
+                **est.to_dict(),
                 "tolerance": tol,
                 "within_tolerance": bool(abs(est.beta_hat - predicted) <= tol),
             }
@@ -267,12 +241,7 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int) -> in
                 for p in netcfg.layer_priors
             ],
         },
-        "fit_window": {
-            "q_lo": window.q_lo,
-            "q_hi": window.q_hi,
-            "grid_size": window.grid_size,
-            "min_points": window.min_points,
-        },
+        "fit_window": asdict(window),
         "degenerate_input": trace.degenerate_input,
         "overflow_count": int(trace.overflow_replicates.size),
         "layers": layers,
@@ -319,197 +288,23 @@ def cmd_estimate_tail(cfg: dict, out_dir: str, seed: int, n_samples: int, stdin=
         "seed": seed,
         "n": int(samples.size),
         "label": label,
-        **_estimate_to_dict(est),
+        **est.to_dict(),
     }
     write_bundle(out_dir, summary, _points_rows(label, pts))
     print(f"beta_hat = {est.beta_hat:.4f} (stderr {est.stderr_slope:.4f}, {est.fit_points} points)")
     return 0
 
 
-def _closure_suite_checks(suite: str, seed: int, n: int, window: FitWindow):
-    """Canned closure checks; yields (name, runner) pairs."""
-    base = RngStream(seed)
-    gauss = DistributionSpec.gaussian()
-    laplace = DistributionSpec.laplace()
-
-    def rule_entry(name, kind, run):
-        return {"name": name, "kind": kind, "run": run}
-
-    checks = {"sum": [], "product": [], "power": [], "pd": [], "negatives": []}
-    checks["sum"] = [
-        rule_entry(
-            "sum_gauss_laplace",
-            "closure",
-            lambda: check_sum_rule([gauss, laplace], n, window, base.child(1)),
-        ),
-        rule_entry(
-            "sum_identity_point_mass",
-            "closure",
-            lambda: check_sum_rule([gauss, DistributionSpec.point_mass(0.0)], n, window, base.child(2)),
-        ),
-        rule_entry(
-            "sum_three_generalized_gaussians",
-            "closure",
-            lambda: check_sum_rule(
-                [
-                    DistributionSpec.generalized_gaussian(2.0),
-                    DistributionSpec.generalized_gaussian(1.5),
-                    DistributionSpec.generalized_gaussian(3.0),
-                ],
-                n,
-                window,
-                base.child(3),
-            ),
-        ),
-    ]
-    checks["product"] = [
-        rule_entry("product_gauss_gauss", "closure",
-                   lambda: check_product_rule(gauss, gauss, n, window, base.child(4))),
-        rule_entry("product_gauss_laplace", "closure",
-                   lambda: check_product_rule(gauss, laplace, n, window, base.child(5))),
-        rule_entry("product_identity_point_mass", "closure",
-                   lambda: check_product_rule(gauss, DistributionSpec.point_mass(1.0), n, window, base.child(6))),
-    ]
-    checks["power"] = [
-        rule_entry("power_gauss_squared", "closure",
-                   lambda: check_power_rule(gauss, 1.0, 2.0, n, window, base.child(7))),
-        rule_entry("power_gauss_rescaled", "closure",
-                   lambda: check_power_rule(gauss, 3.0, 1.0, n, window, base.child(8))),
-        rule_entry("power_laplace_sqrt", "closure",
-                   lambda: check_power_rule(laplace, 1.0, 0.5, n, window, base.child(9))),
-    ]
-
-    def pd_independent(n_coords, stream_k, expected):
-        # c_hat is a minimum over noisy cells; the +-0.05 verdict band needs
-        # >= 1000 conditioning events per cell to be binomially meaningful
-        def run():
-            n_eff = max(n, 10**5)
-            gen = base.child(stream_k).generator()
-            joint = gen.standard_normal((n_eff, n_coords))
-            zq = feasible_z_quantiles(n_eff, min_cell_count=1000)
-            pd = estimate_pd_constant(joint, z_quantiles=zq)
-            return {"pd": pd, "pass": abs(pd.c_hat - expected) <= 0.05}
-        return run
-
-    def pd_lemma(n_units, stream_k):
-        def run():
-            n_eff = max(n, 10**5)
-            joint = weight_unit_product_samples(n_eff, n_units, base.child(stream_k))
-            floor = 1.0 / 2 ** (n_units - 1) - 0.05
-            zq = feasible_z_quantiles(n_eff)
-            right = estimate_pd_constant(joint, side="right", z_quantiles=zq)
-            left = estimate_pd_constant(joint, side="left", z_quantiles=zq)
-            return {
-                "pd": right,
-                "pd_left": left,
-                "pass": right.c_hat >= floor and left.c_hat >= floor,
-            }
-        return run
-
-    def pd_counter_monotone():
-        n_eff = max(n, 10**5)
-        gen = base.child(12).generator()
-        x = gen.standard_normal(n_eff)
-        pd = estimate_pd_constant(np.column_stack([x, -x]), z_quantiles=feasible_z_quantiles(n_eff))
-        # PD is expected to fail here; the control passes when c_hat is tiny
-        return {"pd": pd, "pass": pd.c_hat <= 0.05, "expected_fail_of_pd": True}
-
-    checks["pd"] = [
-        rule_entry("pd_independent_pair", "pd", pd_independent(2, 10, 0.5)),
-        rule_entry("pd_independent_triple", "pd", pd_independent(3, 11, 0.25)),
-        rule_entry("pd_counter_monotone_control", "pd", pd_counter_monotone),
-        rule_entry("pd_lemma_products_2", "pd", pd_lemma(2, 13)),
-        rule_entry("pd_lemma_products_3", "pd", pd_lemma(3, 14)),
-        rule_entry("pd_lemma_products_4", "pd", pd_lemma(4, 15)),
-    ]
-
-    def truncation_tight():
-        rep = negative_control_truncation(gauss, 1.0, n, base.child(16), window)
-        ok = rep.within_bound and rep.survival_beyond_bound == 0.0 and rep.pd.c_hat <= 0.05
-        return {"truncation": rep, "pass": ok, "expected_fail_of_pd": True}
-
-    def truncation_loose():
-        rep = negative_control_truncation(gauss, 10.0, n, base.child(17), window)
-        ok = rep.within_bound
-        if rep.tail_estimate is not None:
-            tol = closure_tolerance(2.0, rep.tail_estimate.stderr_slope)
-            ok = ok and abs(rep.tail_estimate.beta_hat - 2.0) <= tol
-        return {"truncation": rep, "pass": ok}
-
-    def student_t_envelopes():
-        samples = sample_iid(DistributionSpec.student_t(3.0), n, base.child(18))
-        tail = EmpiricalTail.from_samples(samples, side="right")
-        results = {}
-        all_fail = True
-        for beta in (0.5, 1.0, 2.0):
-            chk = check_subweibull_envelope(tail, 1.0 / beta, window)
-            results[f"beta_{beta}"] = chk.holds
-            all_fail = all_fail and not chk.holds
-        return {"envelope_holds": results, "pass": all_fail, "expected_fail_of_envelopes": True}
-
-    checks["negatives"] = [
-        rule_entry("truncation_gaussian_m1", "negative", truncation_tight),
-        rule_entry("truncation_gaussian_m10", "negative", truncation_loose),
-        rule_entry("student_t_weibull_envelopes", "negative", student_t_envelopes),
-    ]
-
-    if suite == "all":
-        return [c for group in checks.values() for c in group]
-    return checks[suite]
-
-
 def cmd_closure_suite(cfg: dict, out_dir: str, seed: int, n_samples: int) -> int:
     suite = cfg.get("suite", "all")
-    if suite not in SUITES:
-        raise ConfigError(f"suite must be one of {SUITES}, got {suite!r}")
     window = parse_fit_window(cfg)
     reports = []
     rows = []
-    any_fail = False
-    for entry in _closure_suite_checks(suite, seed, n_samples, window):
-        result = entry["run"]()
-        rec = {"name": entry["name"], "kind": entry["kind"]}
-        if hasattr(result, "rule"):  # ClosureReport
-            rec.update(
-                {
-                    "rule": result.rule,
-                    "predicted_beta": result.predicted_beta,
-                    **_estimate_to_dict(result.estimated),
-                    "verdict": result.verdict,
-                }
-            )
-            rows.extend(_points_rows(entry["name"], result.points))
-            passed = result.passed
-        else:
-            passed = bool(result.pop("pass"))
-            rec["verdict"] = "pass" if passed else "fail"
-            for key, value in result.items():
-                if key == "pd" or key == "pd_left":
-                    rec[key] = {
-                        "c_hat": value.c_hat,
-                        "side": value.side,
-                        "z_grid": [float(z) for z in value.z_grid],
-                        "per_z_conditional": [float(p) for p in value.per_z_conditional],
-                    }
-                elif key == "truncation":
-                    if value.points is not None and value.tail_estimate is not None:
-                        rows.extend(_points_rows(entry["name"], value.points))
-                    rec["truncation"] = {
-                        "m": value.m,
-                        "bound": value.bound,
-                        "max_abs_sum": value.max_abs_sum,
-                        "within_bound": value.within_bound,
-                        "survival_beyond_bound": value.survival_beyond_bound,
-                        "tail_outcome": value.tail_outcome,
-                    }
-                    rec["pd"] = {"c_hat": value.pd.c_hat, "side": value.pd.side}
-                    if value.tail_estimate is not None:
-                        rec["tail_estimate"] = _estimate_to_dict(value.tail_estimate)
-                else:
-                    rec[key] = value
-        any_fail = any_fail or not passed
-        reports.append(rec)
-        print(f"{rec['name']:<34} {rec['verdict']}")
+    for result in closure_suite(suite, seed, n_samples, window):
+        reports.append(result.to_dict())
+        if result.points is not None:
+            rows.extend(_points_rows(result.name, result.points))
+        print(f"{result.name:<34} {reports[-1]['verdict']}")
     summary = {
         "command": "closure",
         "suite": suite,
@@ -518,7 +313,7 @@ def cmd_closure_suite(cfg: dict, out_dir: str, seed: int, n_samples: int) -> int
         "reports": reports,
     }
     write_bundle(out_dir, summary, rows)
-    return 1 if any_fail else 0
+    return 0 if all(rec["verdict"] == "pass" for rec in reports) else 1
 
 
 # ----------------------------- entry point -----------------------------
@@ -555,7 +350,7 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return cmd_estimate_tail(cfg, out_dir, seed, n_samples)
         return cmd_closure_suite(cfg, out_dir, seed, n_samples)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowAbortError as exc:
@@ -564,9 +359,6 @@ def main(argv=None) -> int:
     except (InsufficientDataError, DegenerateTailError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Covers the three closure rules (sums take the minimum tail parameter,
 independent products compose harmonically, powers divide it), the
 positive-dependence constant behind the sum rule, and the negative
-controls built from truncation.
+controls built from truncation. ``closure_suite`` runs the canned checks
+behind ``gwt-lab closure`` and yields one ``CheckResult`` per verdict.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .rng import RngStream
 from .tail_distributions import (
     BOUNDED,
     GWT_NONNEG,
-    GWT_REAL,
     WT_REAL,
     DistributionSpec,
     TailClass,
@@ -32,6 +32,7 @@ from .tail_estimation import (
     EmpiricalTail,
     FitWindow,
     TailEstimate,
+    check_subweibull_envelope,
     empirical_survival,
     estimate_tail_index,
     loglog_points,
@@ -89,7 +90,6 @@ class ClosureReport:
     """Predicted vs estimated tail parameter for one closure check."""
 
     rule: str
-    inputs: tuple[TailClass, ...]
     predicted_beta: float
     estimated: TailEstimate
     verdict: str
@@ -166,26 +166,16 @@ def estimate_pd_constant(
     )
 
 
-def _spec_beta(spec: DistributionSpec):
-    tc = spec.tail_class()
-    return tc, tc.beta
-
-
-def _verdict(predicted: float, estimate: TailEstimate) -> str:
-    tol = closure_tolerance(predicted, estimate.stderr_slope)
-    return "pass" if abs(estimate.beta_hat - predicted) <= tol else "fail"
-
-
-def _report(rule, inputs, predicted, samples, side, window) -> ClosureReport:
+def _report(rule, predicted, samples, side, window) -> ClosureReport:
     tail = EmpiricalTail.from_samples(samples, side=side)
     pts = loglog_points(tail, window)
     estimate = estimate_tail_index(tail, window)
+    tol = closure_tolerance(predicted, estimate.stderr_slope)
     return ClosureReport(
         rule=rule,
-        inputs=tuple(inputs),
         predicted_beta=predicted,
         estimated=estimate,
-        verdict=_verdict(predicted, estimate),
+        verdict="pass" if abs(estimate.beta_hat - predicted) <= tol else "fail",
         points=pts,
     )
 
@@ -205,21 +195,21 @@ def check_sum_rule(
     specs = list(specs)
     if len(specs) < 2:
         raise ParameterError("sum rule needs at least two specs")
-    classes, betas = zip(*(_spec_beta(s) for s in specs))
-    finite = [b for b in betas if b is not None]
+    classes = [s.tail_class() for s in specs]
+    finite = [c.beta for c in classes if c.beta is not None]
     if not finite:
         raise ParameterError("no summand carries a tail parameter")
-    if any(c.kind not in (WT_REAL, GWT_REAL, GWT_NONNEG, BOUNDED) for c in classes):
+    if any(c.kind not in (WT_REAL, GWT_NONNEG, BOUNDED) for c in classes):
         raise ParameterError("sum rule applies to Weibull-like (or bounded) summands")
     total = np.zeros(n)
     for k, spec in enumerate(specs):
         total += sample_iid(spec, n, rng.child(k))
-    return _report(RULE_SUM_MIN, classes, min(finite), total, SIDE_RIGHT, window)
+    return _report(RULE_SUM_MIN, min(finite), total, SIDE_RIGHT, window)
 
 
 def _require_symmetric_real(spec: DistributionSpec, what: str) -> TailClass:
     tc = spec.tail_class()
-    if tc.kind not in (WT_REAL, GWT_REAL) or not tc.symmetric:
+    if tc.kind != WT_REAL or not tc.symmetric:
         raise ParameterError(f"{what} requires a symmetric real-line Weibull-like family")
     return tc
 
@@ -244,17 +234,14 @@ def check_product_rule(
         pm, other = (spec_x, spec_y) if pm_x else (spec_y, spec_x)
         if pm.params["value"] == 0:
             raise ParameterError("point-mass factor must be nonzero")
-        tc_other = _require_symmetric_real(other, "product rule")
-        predicted = tc_other.beta
-        classes = (spec_x.tail_class(), spec_y.tail_class())
+        predicted = _require_symmetric_real(other, "product rule").beta
     else:
         tc_x = _require_symmetric_real(spec_x, "product rule")
         tc_y = _require_symmetric_real(spec_y, "product rule")
         predicted = 1.0 / (1.0 / tc_x.beta + 1.0 / tc_y.beta)
-        classes = (tc_x, tc_y)
     x = sample_iid(spec_x, n, rng.child(0))
     y = sample_iid(spec_y, n, rng.child(1))
-    return _report(RULE_PRODUCT_HARMONIC, classes, predicted, x * y, SIDE_ABSOLUTE, window)
+    return _report(RULE_PRODUCT_HARMONIC, predicted, x * y, SIDE_ABSOLUTE, window)
 
 
 def check_power_rule(
@@ -271,7 +258,7 @@ def check_power_rule(
     tc = _require_symmetric_real(spec, "power rule")
     x = sample_iid(spec, n, rng.child(0))
     transformed = a * np.abs(x) ** b
-    return _report(RULE_POWER, (tc,), tc.beta / b, transformed, SIDE_RIGHT, window)
+    return _report(RULE_POWER, tc.beta / b, transformed, SIDE_RIGHT, window)
 
 
 def negative_control_truncation(
@@ -350,3 +337,136 @@ def weight_unit_product_samples(
         w3 = gen.standard_normal((m, n_units))
         out[start:stop] = w3 * h2
     return out
+
+
+# ----------------------------- canned suite -----------------------------
+
+SUITES = ("sum", "product", "power", "pd", "negatives", "all")
+_TRUNCATION_FIELDS = ("m", "bound", "max_abs_sum", "within_bound", "survival_beyond_bound", "tail_outcome")
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One verdict of the canned closure suite.
+
+    ``fields`` holds the check's JSON-ready details; ``points`` holds the
+    log-log points its tail estimate was fitted on, if it made one.
+    """
+
+    name: str
+    kind: str
+    passed: bool
+    fields: dict
+    points: np.ndarray | None = None
+
+    def to_dict(self) -> dict:
+        head = {"name": self.name, "kind": self.kind}
+        verdict = {"verdict": "pass" if self.passed else "fail"}
+        # rule checks list their verdict after the estimate, the others before their details
+        if self.kind == "closure":
+            return {**head, **self.fields, **verdict}
+        return {**head, **verdict, **self.fields}
+
+
+def _rule_result(name: str, report: ClosureReport) -> CheckResult:
+    fields = {"rule": report.rule, "predicted_beta": report.predicted_beta, **report.estimated.to_dict()}
+    return CheckResult(name, "closure", report.passed, fields, report.points)
+
+
+def _pd_dict(pd: PDEstimate) -> dict:
+    return {
+        "c_hat": pd.c_hat,
+        "side": pd.side,
+        "z_grid": [float(z) for z in pd.z_grid],
+        "per_z_conditional": [float(p) for p in pd.per_z_conditional],
+    }
+
+
+def _truncation_result(name: str, rep: TruncationReport, passed: bool, **extra) -> CheckResult:
+    fields = {
+        "truncation": {key: getattr(rep, key) for key in _TRUNCATION_FIELDS},
+        "pd": {"c_hat": rep.pd.c_hat, "side": rep.pd.side},
+    }
+    if rep.tail_estimate is not None:
+        fields["tail_estimate"] = rep.tail_estimate.to_dict()
+    return CheckResult(name, "negative", bool(passed), {**fields, **extra}, rep.points)
+
+
+def _pd_independent_result(name: str, n_coords: int, expected: float, n: int, rng: RngStream) -> CheckResult:
+    joint = rng.generator().standard_normal((n, n_coords))
+    # c_hat is a minimum over noisy cells; the +-0.05 verdict band needs
+    # >= 1000 conditioning events per cell to be binomially meaningful
+    pd = estimate_pd_constant(joint, z_quantiles=feasible_z_quantiles(n, min_cell_count=1000))
+    return CheckResult(name, "pd", abs(pd.c_hat - expected) <= 0.05, {"pd": _pd_dict(pd)})
+
+
+def _pd_counter_monotone_result(n: int, rng: RngStream) -> CheckResult:
+    x = rng.generator().standard_normal(n)
+    pd = estimate_pd_constant(np.column_stack([x, -x]), z_quantiles=feasible_z_quantiles(n))
+    # PD is expected to fail here; the control passes when c_hat is tiny
+    fields = {"pd": _pd_dict(pd), "expected_fail_of_pd": True}
+    return CheckResult("pd_counter_monotone_control", "pd", pd.c_hat <= 0.05, fields)
+
+
+def _pd_lemma_result(n_units: int, n: int, rng: RngStream) -> CheckResult:
+    joint = weight_unit_product_samples(n, n_units, rng)
+    zq = feasible_z_quantiles(n)
+    right = estimate_pd_constant(joint, side="right", z_quantiles=zq)
+    left = estimate_pd_constant(joint, side="left", z_quantiles=zq)
+    floor = 1.0 / 2 ** (n_units - 1) - 0.05
+    passed = right.c_hat >= floor and left.c_hat >= floor
+    fields = {"pd": _pd_dict(right), "pd_left": _pd_dict(left)}
+    return CheckResult(f"pd_lemma_products_{n_units}", "pd", passed, fields)
+
+
+def closure_suite(suite: str, seed: int, n: int, window: FitWindow = FitWindow()):
+    """Run the canned checks of ``suite`` (one of SUITES); yields CheckResults in report order.
+
+    Check k draws from child stream k of ``seed`` in every suite; PD checks
+    run at n >= 1e5, in helpers: a suspended generator keeps its locals
+    alive, so their sample matrices would stack on the next check's memory.
+    """
+    if suite not in SUITES:
+        raise ParameterError(f"suite must be one of {SUITES}, got {suite!r}")
+    base = RngStream(seed)
+    gauss, laplace = DistributionSpec.gaussian(), DistributionSpec.laplace()
+    groups = SUITES[:-1] if suite == "all" else (suite,)
+
+    if "sum" in groups:
+        yield _rule_result("sum_gauss_laplace", check_sum_rule([gauss, laplace], n, window, base.child(1)))
+        pm0 = DistributionSpec.point_mass(0.0)
+        yield _rule_result("sum_identity_point_mass", check_sum_rule([gauss, pm0], n, window, base.child(2)))
+        ggs = [DistributionSpec.generalized_gaussian(s) for s in (2.0, 1.5, 3.0)]
+        yield _rule_result("sum_three_generalized_gaussians", check_sum_rule(ggs, n, window, base.child(3)))
+    if "product" in groups:
+        yield _rule_result("product_gauss_gauss", check_product_rule(gauss, gauss, n, window, base.child(4)))
+        yield _rule_result("product_gauss_laplace", check_product_rule(gauss, laplace, n, window, base.child(5)))
+        pm1 = DistributionSpec.point_mass(1.0)
+        yield _rule_result(
+            "product_identity_point_mass", check_product_rule(gauss, pm1, n, window, base.child(6))
+        )
+    if "power" in groups:
+        yield _rule_result("power_gauss_squared", check_power_rule(gauss, 1.0, 2.0, n, window, base.child(7)))
+        yield _rule_result("power_gauss_rescaled", check_power_rule(gauss, 3.0, 1.0, n, window, base.child(8)))
+        yield _rule_result("power_laplace_sqrt", check_power_rule(laplace, 1.0, 0.5, n, window, base.child(9)))
+    if "pd" in groups:
+        n_pd = max(n, _PD_MIN_SAMPLES)
+        yield _pd_independent_result("pd_independent_pair", 2, 0.5, n_pd, base.child(10))
+        yield _pd_independent_result("pd_independent_triple", 3, 0.25, n_pd, base.child(11))
+        yield _pd_counter_monotone_result(n_pd, base.child(12))
+        for n_units, k in ((2, 13), (3, 14), (4, 15)):
+            yield _pd_lemma_result(n_units, n_pd, base.child(k))
+    if "negatives" in groups:
+        rep = negative_control_truncation(gauss, 1.0, n, base.child(16), window)
+        tight = rep.within_bound and rep.survival_beyond_bound == 0.0 and rep.pd.c_hat <= 0.05
+        yield _truncation_result("truncation_gaussian_m1", rep, tight, expected_fail_of_pd=True)
+        rep = negative_control_truncation(gauss, 10.0, n, base.child(17), window)
+        loose = rep.within_bound
+        if rep.tail_estimate is not None:
+            tol = closure_tolerance(2.0, rep.tail_estimate.stderr_slope)
+            loose = loose and abs(rep.tail_estimate.beta_hat - 2.0) <= tol
+        yield _truncation_result("truncation_gaussian_m10", rep, loose)
+        tail = EmpiricalTail.from_samples(sample_iid(DistributionSpec.student_t(3.0), n, base.child(18)))
+        holds = {f"beta_{b}": check_subweibull_envelope(tail, 1.0 / b, window).holds for b in (0.5, 1.0, 2.0)}
+        fields = {"envelope_holds": holds, "expected_fail_of_envelopes": True}
+        yield CheckResult("student_t_weibull_envelopes", "negative", not any(holds.values()), fields)

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check behind ParameterError."""
+
+import numbers
 
 
 class GwtLabError(Exception):
@@ -7,6 +9,12 @@ class GwtLabError(Exception):
 
 class ParameterError(GwtLabError, ValueError):
     """Invalid distribution or configuration parameter."""
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ParameterError unless ``value`` is an integer; bools and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 class DomainError(GwtLabError, ValueError):

@@ -31,12 +31,11 @@ from .rng import RngStream
 
 # tail-class kinds
 WT_REAL = "WT_real"
-GWT_REAL = "GWT_real"
 GWT_NONNEG = "GWT_nonneg"
 POWER_TAIL = "power_tail"
 BOUNDED = "bounded"
-_KINDS_WITH_BETA = frozenset({WT_REAL, GWT_REAL, GWT_NONNEG})
-_KINDS = frozenset({WT_REAL, GWT_REAL, GWT_NONNEG, POWER_TAIL, BOUNDED})
+_KINDS_WITH_BETA = frozenset({WT_REAL, GWT_NONNEG})
+_KINDS = frozenset({WT_REAL, GWT_NONNEG, POWER_TAIL, BOUNDED})
 
 # supports
 REAL_LINE = "real_line"
@@ -222,11 +221,6 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
         return p["scale"] * g.standard_t(p["dof"], n)
     # point_mass
     return np.full(n, p["value"], dtype=np.float64)
-
-
-def sample_oscillating_gwt(beta: float, n: int, rng: RngStream) -> np.ndarray:
-    """Inverse-transform draws from survival exp(-x**beta (1 + cos(ln x)**2))."""
-    return sample_iid(DistributionSpec.oscillating_gwt(beta), n, rng)
 
 
 def symmetrize(samples: np.ndarray, rng: RngStream) -> np.ndarray:

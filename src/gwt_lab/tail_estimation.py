@@ -32,7 +32,7 @@ spread, unlike the naive diagonal formula.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import optimize
@@ -42,6 +42,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     ParameterError,
+    require_integer,
 )
 
 SIDE_RIGHT = "right"
@@ -74,6 +75,8 @@ class FitWindow:
     min_points: int = 50
 
     def __post_init__(self):
+        require_integer("grid_size", self.grid_size)
+        require_integer("min_points", self.min_points)
         if not 0.0 < self.q_lo < self.q_hi < 1.0:
             raise ParameterError(f"need 0 < q_lo < q_hi < 1, got ({self.q_lo}, {self.q_hi})")
         if self.min_points < 8:
@@ -125,6 +128,9 @@ class TailEstimate:
     stderr_slope: float
     fit_points: int
     x_range: tuple[float, float]
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "x_range": list(self.x_range)}
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from gwt_lab import (
     negative_control_truncation,
     run_prior_monte_carlo,
     sample_iid,
-    sample_oscillating_gwt,
     weight_unit_product_samples,
 )
 from gwt_lab.cli import main
@@ -273,7 +272,7 @@ def test_criterion_08_negative_controls():
 
 def test_criterion_09_oscillating_band():
     """Oscillating tail passes its own band and fails shifted ones."""
-    x = sample_oscillating_gwt(2.0, N_FULL, RngStream(SEED, 8000))
+    x = sample_iid(DistributionSpec.oscillating_gwt(2.0), N_FULL, RngStream(SEED, 8000))
     tail = EmpiricalTail.from_samples(x)
     own = check_gwt_envelope(tail, 2.0, 2.0, 1.0).holds
     low = check_gwt_envelope(tail, 1.5, 2.0, 1.0).holds

@@ -5,6 +5,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from gwt_lab import refit_beta_from_points
 from gwt_lab.cli import main
@@ -35,6 +36,15 @@ def bnn_config(tmp_path, **overrides):
     return write_config(tmp_path, **cfg)
 
 
+def curve_points(curves: bytes) -> dict:
+    """curves.csv bytes -> {label: (k, 2) array of its log-log points}."""
+    by_label = {}
+    for row in curves.decode().strip().split("\n")[1:]:
+        label, lx, ly = row.split(",")
+        by_label.setdefault(label, []).append((float(lx), float(ly)))
+    return {label: np.asarray(pts) for label, pts in by_label.items()}
+
+
 def read_bundle(out_dir):
     with open(os.path.join(out_dir, "summary.json")) as fh:
         summary = json.load(fh)
@@ -43,7 +53,39 @@ def read_bundle(out_dir):
     return summary, curves
 
 
+SMALL_NETWORK = {"input_dim": 10, "widths": [2], "priors": [{"family": "gaussian"}]}
+
+# (command, config sections, expected message fragment); each must exit 2, not crash
+MISTYPED_CONFIGS = {
+    "widths_not_numbers": ("bnn", {"network": {**SMALL_NETWORK, "widths": ["a"]}}, "bad network"),
+    "widths_fractional": ("bnn", {"network": {**SMALL_NETWORK, "widths": [2.7]}}, "bad network"),
+    "widths_bool": ("bnn", {"network": {**SMALL_NETWORK, "widths": [True]}}, "bad network"),
+    "input_dim_fractional": ("bnn", {"network": {**SMALL_NETWORK, "input_dim": 8.5}}, "bad network"),
+    "activation_list": ("bnn", {"network": {**SMALL_NETWORK, "activation": ["relu"]}}, "bad network"),
+    "prior_family_list": (
+        "bnn", {"network": {**SMALL_NETWORK, "priors": [{"family": ["gaussian"]}]}}, "bad prior [0]"
+    ),
+    "prior_beta_w_text": (
+        "bnn", {"network": {**SMALL_NETWORK, "priors": [{"family": "gaussian", "beta_w": "x"}]}}, "bad prior [0]"
+    ),
+    "prior_not_object": ("bnn", {"network": {**SMALL_NETWORK, "priors": ["x"]}}, "must be an object"),
+    "network_not_object": ("bnn", {"network": ["x"]}, "must be an object"),
+    "q_lo_text": ("bnn", {"network": SMALL_NETWORK, "fit_window": {"q_lo": "0.9"}}, "bad fit_window"),
+    "grid_size_fractional": ("bnn", {"network": SMALL_NETWORK, "fit_window": {"grid_size": 60.5}}, "bad fit_window"),
+    "min_points_text": ("bnn", {"network": SMALL_NETWORK, "fit_window": {"min_points": "9"}}, "bad fit_window"),
+    "distribution_not_object": ("estimate", {"distribution": "gaussian"}, "must be an object"),
+}
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("case", sorted(MISTYPED_CONFIGS))
+    def test_mistyped_field_is_a_config_error(self, tmp_path, capsys, case):
+        command, sections, message = MISTYPED_CONFIGS[case]
+        path = write_config(tmp_path, command=command, seed=1, n_samples=20000, **sections)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_top_level_key(self, tmp_path, capsys):
         path = write_config(tmp_path, command="bnn", seed=1, network={}, typo=1)
         assert main(["bnn", "--config", path]) == 2
@@ -143,13 +185,9 @@ class TestBnnCommand:
         out = str(tmp_path / "out")
         assert main(["bnn", "--config", path, "--out", out]) == 0
         summary, curves = read_bundle(out)
-        rows = curves.decode().strip().split("\n")[1:]
-        by_label = {}
-        for row in rows:
-            label, lx, ly = row.split(",")
-            by_label.setdefault(label, []).append((float(lx), float(ly)))
+        by_label = curve_points(curves)
         for rec in summary["layers"]:
-            pts = np.asarray(by_label[f"layer{rec['layer']}"])
+            pts = by_label[f"layer{rec['layer']}"]
             assert abs(refit_beta_from_points(pts) - rec["beta_hat"]) < 1e-9
 
 
@@ -187,8 +225,7 @@ class TestEstimateCommand:
         summary, curves = read_bundle(out)
         assert 0.85 < summary["beta_hat"] < 1.15
         assert summary["label"] == "weibull"
-        rows = curves.decode().strip().split("\n")[1:]
-        pts = np.asarray([[float(a) for a in r.split(",")[1:]] for r in rows])
+        pts = curve_points(curves)["weibull"]
         assert abs(refit_beta_from_points(pts) - summary["beta_hat"]) < 1e-9
 
     def test_bad_distribution(self, tmp_path):
@@ -212,13 +249,9 @@ class TestClosureCommand:
         assert all(r["verdict"] == "pass" for r in summary["reports"])
         assert b"sum_gauss_laplace" in curves
         # every reported estimate must be reproducible from its curve rows
-        by_label = {}
-        for row in curves.decode().strip().split("\n")[1:]:
-            label, lx, ly = row.split(",")
-            by_label.setdefault(label, []).append((float(lx), float(ly)))
+        by_label = curve_points(curves)
         for rec in summary["reports"]:
-            pts = np.asarray(by_label[rec["name"]])
-            assert abs(refit_beta_from_points(pts) - rec["beta_hat"]) < 1e-9
+            assert abs(refit_beta_from_points(by_label[rec["name"]]) - rec["beta_hat"]) < 1e-9
 
     def test_pd_suite_with_counter_monotone_control(self, tmp_path):
         path = write_config(tmp_path, command="closure", seed=2, suite="pd", n_samples=100000)
@@ -229,3 +262,42 @@ class TestClosureCommand:
         assert control["expected_fail_of_pd"]
         assert control["pd"]["c_hat"] <= 0.05
         assert control["verdict"] == "pass"
+
+    def test_all_suite_reports_in_order_and_refits(self, tmp_path):
+        path = write_config(tmp_path, command="closure", seed=7, suite="all", n_samples=100000)
+        out = str(tmp_path / "o")
+        status = main(["closure", "--config", path, "--out", out])
+        summary, curves = read_bundle(out)
+        reports = summary["reports"]
+        assert [(r["name"], r["kind"]) for r in reports] == [
+            ("sum_gauss_laplace", "closure"),
+            ("sum_identity_point_mass", "closure"),
+            ("sum_three_generalized_gaussians", "closure"),
+            ("product_gauss_gauss", "closure"),
+            ("product_gauss_laplace", "closure"),
+            ("product_identity_point_mass", "closure"),
+            ("power_gauss_squared", "closure"),
+            ("power_gauss_rescaled", "closure"),
+            ("power_laplace_sqrt", "closure"),
+            ("pd_independent_pair", "pd"),
+            ("pd_independent_triple", "pd"),
+            ("pd_counter_monotone_control", "pd"),
+            ("pd_lemma_products_2", "pd"),
+            ("pd_lemma_products_3", "pd"),
+            ("pd_lemma_products_4", "pd"),
+            ("truncation_gaussian_m1", "negative"),
+            ("truncation_gaussian_m10", "negative"),
+            ("student_t_weibull_envelopes", "negative"),
+        ]
+        assert status == (1 if any(r["verdict"] == "fail" for r in reports) else 0)
+        assert all(r["verdict"] in ("pass", "fail") for r in reports)
+        fitted = {
+            r["name"]: r["beta_hat"] if "beta_hat" in r else r["tail_estimate"]["beta_hat"]
+            for r in reports
+            if "beta_hat" in r or "tail_estimate" in r
+        }
+        by_label = curve_points(curves)
+        assert set(by_label) == set(fitted)
+        assert {"truncation_gaussian_m1", "truncation_gaussian_m10"} <= set(fitted)
+        for name, beta_hat in fitted.items():
+            assert abs(refit_beta_from_points(by_label[name]) - beta_hat) < 1e-9

@@ -13,7 +13,6 @@ from gwt_lab import (
     TailClass,
     exact_survival,
     sample_iid,
-    sample_oscillating_gwt,
     symmetrize,
 )
 from gwt_lab.tail_distributions import _invert_oscillating_survival
@@ -192,7 +191,7 @@ class TestExactSurvival:
 class TestOscillatingSampler:
     def test_shape_below_two_rejected(self):
         with pytest.raises(ParameterError):
-            sample_oscillating_gwt(1.5, 10, RngStream(0))
+            sample_iid(DistributionSpec.oscillating_gwt(1.5), 10, RngStream(0))
 
     def test_inversion_at_zero_exponent(self):
         # u = 1 corresponds to exponent t = 0 and x = 0
@@ -217,7 +216,7 @@ class TestOscillatingSampler:
 
     def test_draws_between_analytic_envelopes(self):
         """All mass respects exp(-2 x^2) <= S(x) <= exp(-x^2) on the tail."""
-        x = sample_oscillating_gwt(2.0, N_BIG, RngStream(5))
+        x = sample_iid(DistributionSpec.oscillating_gwt(2.0), N_BIG, RngStream(5))
         tail = np.sort(x)
         grid = np.quantile(tail, [0.95, 0.99, 0.999, 0.9999])
         s_hat = np.array([(x >= g).mean() for g in grid])

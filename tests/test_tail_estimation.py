@@ -21,7 +21,6 @@ from gwt_lab import (
     loglog_points,
     refit_beta_from_points,
     sample_iid,
-    sample_oscillating_gwt,
 )
 
 
@@ -225,7 +224,7 @@ class TestGwtEnvelope:
         assert check_gwt_envelope(tail, beta=2.0, l_lo=1.0, l_hi=1.0).holds
 
     def test_oscillating_band(self):
-        x = sample_oscillating_gwt(2.0, 10**6, RngStream(24))
+        x = sample_iid(DistributionSpec.oscillating_gwt(2.0), 10**6, RngStream(24))
         tail = EmpiricalTail.from_samples(x)
         assert check_gwt_envelope(tail, beta=2.0, l_lo=2.0, l_hi=1.0).holds
         assert not check_gwt_envelope(tail, beta=1.5, l_lo=2.0, l_hi=1.0).holds
