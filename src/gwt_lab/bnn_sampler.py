@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NumericalOverflowError, OverflowAbortError, ParameterError, require_integer
 from .rng import RngStream
+from .tail_distributions import _symmetric_draws
 
 PRIOR_FAMILIES = frozenset({"gaussian", "laplace", "generalized_gaussian"})
 SCALE_POLICIES = frozenset({"unit", "inv_sqrt_fan_in"})
@@ -136,20 +137,6 @@ def _weight_scale(policy: str, fan_in: int) -> float:
     return 1.0 if policy == "unit" else fan_in ** -0.5
 
 
-def _draw_weights(gen: np.random.Generator, prior: LayerPrior, fan_in: int, width: int):
-    """One layer's weight matrix, shape (fan_in, width). Draw order is fixed."""
-    scale = _weight_scale(prior.scale_policy, fan_in)
-    shape = (fan_in, width)
-    if prior.family == "gaussian":
-        return gen.standard_normal(shape) * scale
-    if prior.family == "laplace":
-        return gen.laplace(0.0, scale, shape)
-    b = prior.tail_beta_w
-    magnitude = gen.gamma(1.0 / b, 1.0, shape) ** (1.0 / b) * scale
-    sign = np.where(gen.random(shape) < 0.5, -1.0, 1.0)
-    return sign * magnitude
-
-
 def _activate(name: str, g: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(g, 0.0)
@@ -165,7 +152,8 @@ def _forward_with_generator(config: NetworkConfig, input_vec: np.ndarray, gen, r
     g_out = np.empty(config.depth)
     h_out = np.empty(config.depth)
     for idx, (prior, width) in enumerate(zip(config.layer_priors, config.widths)):
-        w = _draw_weights(gen, prior, h.size, width)
+        scale = _weight_scale(prior.scale_policy, h.size)
+        w = _symmetric_draws(gen, prior.family, prior.tail_beta_w, scale, (h.size, width))
         g = h @ w
         if not np.isfinite(g).all():
             raise NumericalOverflowError(
@@ -214,7 +202,10 @@ def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, start: int, stop: i
 
 def _resolve_workers(workers) -> int:
     env = os.environ.get(WORKERS_ENV_VAR)
-    cap = max(1, int(env)) if env else None
+    try:
+        cap = max(1, int(env)) if env else None
+    except ValueError:
+        raise ParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     if workers is None:
         return cap or 1
     workers = max(1, int(workers))

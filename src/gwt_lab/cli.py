@@ -1,13 +1,13 @@
 """Command-line front end: gwt-lab bnn | estimate | closure.
 
-Experiments are described by a JSON config (one schema for all commands,
-unknown keys rejected) and emit a result bundle: a machine-readable
+Experiments are described by a JSON config (one SCHEMA for all commands,
+checked before any work starts) and emit a result bundle: a machine-readable
 summary.json plus a plot-ready curves.csv holding the log-log points
 every reported estimate was fitted on. Files are written atomically
 (write-then-rename); nothing is left behind on failure.
 
-Exit codes: 0 ok, 1 closure verdict failed, 2 config/parse error,
-3 overflow abort, 4 insufficient data or empty input.
+Exit codes: 0 ok, 1 closure verdict failed, 2 bad config, I/O error or
+refused allocation, 3 overflow abort, 4 insufficient data or empty input.
 """
 from __future__ import annotations
 
@@ -48,117 +48,112 @@ DESK_SCALE_N = 10**5
 FULL_SCALE_N = 10**6
 DEFAULT_OUT_DIR = "gwt-lab-out"
 
-_TOP_KEYS = {"command", "seed", "n_samples", "network", "fit_window", "suite", "out_dir", "distribution"}
-_NETWORK_KEYS = {"input_dim", "widths", "activation", "priors"}
-_PRIOR_KEYS = {"family", "beta_w", "scale_policy"}
-_WINDOW_KEYS = {"q_lo", "q_hi", "grid_size", "min_points"}
-_DISTRIBUTION_KEYS = {"family", "params"}
-
 
 # ----------------------------- config ---------------------------------
 
+MAX_COUNT = 10**9
 
-def _check_object(obj, allowed: set, where: str) -> dict:
-    """Return obj if it is a JSON object with only allowed keys."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"'{where}' must be an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    return obj
+# Leaf kinds of SCHEMA, each named by the phrase its error message uses; in
+# SCHEMA a dict is a section with those keys, a one-item list a list of that kind.
+STRING = "a string"
+INTEGER = "an integer"
+COUNT = f"an integer in 1..{MAX_COUNT}"
+NUMBER = "a finite number"
+NUMBER_MAP = "an object of finite numbers"
+
+# json.load yields exact int and float, so type() also refuses bools; comparing
+# exactly with float_info.max refuses NaN, infinities and ints too big for a float
+_LEAF_TESTS = {
+    STRING: lambda v: type(v) is str,
+    INTEGER: lambda v: type(v) is int,
+    COUNT: lambda v: type(v) is int and 1 <= v <= MAX_COUNT,
+    NUMBER: lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+}
+
+SCHEMA = {
+    "command": STRING,
+    "seed": INTEGER,
+    "n_samples": COUNT,
+    "suite": STRING,
+    "out_dir": STRING,
+    "fit_window": {"q_lo": NUMBER, "q_hi": NUMBER, "grid_size": COUNT, "min_points": COUNT},
+    "network": {
+        "input_dim": COUNT,
+        "widths": [COUNT],
+        "activation": STRING,
+        "priors": [{"family": STRING, "beta_w": NUMBER, "scale_policy": STRING}],
+    },
+    "distribution": {"family": STRING, "params": NUMBER_MAP},
+}
+
+
+def validate(value, kind=SCHEMA, path: str = "config") -> None:
+    """Raise ConfigError naming the dotted path where ``value`` does not match ``kind``.
+
+    Value ranges other than the count bound are checked by the objects built from the config.
+    """
+    if isinstance(kind, dict) or kind == NUMBER_MAP:
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{path}' must be an object")
+        fields = dict.fromkeys(value, NUMBER) if kind == NUMBER_MAP else kind
+        unknown = sorted(set(value) - set(fields))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {path}: {unknown}")
+        for key, item in value.items():
+            validate(item, fields[key], f"{path}.{key}")
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"'{path}' must be a list")
+        for i, item in enumerate(value):
+            validate(item, kind[0], f"{path}[{i}]")
+    elif not _LEAF_TESTS[kind](value):
+        raise ConfigError(f"{path} must be {kind}, got {value!r}")
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return _check_object(cfg, _TOP_KEYS, "config")
-
-
-def resolve_seed(cfg: dict, override) -> int:
-    seed = override if override is not None else cfg.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is required (config 'seed' or --seed)")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
-
-
-def resolve_n_samples(cfg: dict, full: bool) -> int:
-    if full:
-        return FULL_SCALE_N
-    n = cfg.get("n_samples")
-    if n is None:
-        return DESK_SCALE_N
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise ConfigError(f"'n_samples' must be a positive integer, got {n!r}")
-    return n
+    validate(cfg)
+    return cfg
 
 
 def parse_fit_window(cfg: dict) -> FitWindow:
-    raw = _check_object(cfg.get("fit_window", {}), _WINDOW_KEYS, "fit_window")
-    try:
-        return FitWindow(
-            q_lo=raw.get("q_lo", FitWindow.q_lo),
-            q_hi=raw.get("q_hi", FitWindow.q_hi),
-            grid_size=raw.get("grid_size", FitWindow.grid_size),
-            min_points=raw.get("min_points", FitWindow.min_points),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad fit_window: {exc}") from exc
+    return FitWindow(**cfg.get("fit_window", {}))
 
 
 def parse_network(cfg: dict, seed: int, n_samples: int) -> NetworkConfig:
     raw = cfg.get("network")
     if raw is None:
         raise ConfigError("bnn command needs a 'network' section")
-    _check_object(raw, _NETWORK_KEYS, "network")
-    priors_raw = raw.get("priors")
-    if not isinstance(priors_raw, list) or not priors_raw:
-        raise ConfigError("'network.priors' must be a nonempty list")
-    priors = []
-    for i, p in enumerate(priors_raw):
-        _check_object(p, _PRIOR_KEYS, f"network.priors[{i}]")
-        try:
-            priors.append(
-                LayerPrior(
-                    family=p.get("family", "gaussian"),
-                    tail_beta_w=float(p.get("beta_w", 2.0)),
-                    scale_policy=p.get("scale_policy", "inv_sqrt_fan_in"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad prior [{i}]: {exc}") from exc
-    try:
-        return NetworkConfig(
-            input_dim=raw.get("input_dim", 0),
-            widths=tuple(raw.get("widths", ())),
-            layer_priors=tuple(priors),
-            activation=raw.get("activation", "relu"),
-            n_samples=n_samples,
-            seed=seed,
+    priors = [
+        LayerPrior(
+            family=p.get("family", "gaussian"),
+            tail_beta_w=float(p.get("beta_w", 2.0)),
+            scale_policy=p.get("scale_policy", "inv_sqrt_fan_in"),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad network: {exc}") from exc
+        for p in raw.get("priors", [])
+    ]
+    return NetworkConfig(
+        input_dim=raw.get("input_dim", 0),
+        widths=tuple(raw.get("widths", ())),
+        layer_priors=tuple(priors),
+        activation=raw.get("activation", "relu"),
+        n_samples=n_samples,
+        seed=seed,
+    )
 
 
 def parse_distribution(cfg: dict) -> DistributionSpec | None:
     raw = cfg.get("distribution")
     if raw is None:
         return None
-    _check_object(raw, _DISTRIBUTION_KEYS, "distribution")
-    family = raw.get("family")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("'distribution.params' must be an object")
-    try:
-        return DistributionSpec(family, {k: float(v) for k, v in params.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad distribution: {exc}") from exc
+    params = {k: float(v) for k, v in raw.get("params", {}).items()}
+    return DistributionSpec(raw.get("family"), params)
 
 
 # ----------------------------- output ---------------------------------
@@ -338,20 +333,24 @@ def main(argv=None) -> int:
         declared = cfg.get("command")
         if declared is not None and declared != args.command:
             raise ConfigError(f"config declares command {declared!r}, invoked {args.command!r}")
-        stdin_mode = args.command == "estimate" and "distribution" not in cfg
-        if stdin_mode and args.seed is None and "seed" not in cfg:
+        seed = args.seed if args.seed is not None else cfg.get("seed")
+        if seed is None and args.command == "estimate" and "distribution" not in cfg:
             seed = 0  # no randomness consumed when samples come from stdin
-        else:
-            seed = resolve_seed(cfg, args.seed)
-        n_samples = resolve_n_samples(cfg, args.full)
+        if seed is None:
+            raise ConfigError("a seed is required (config 'seed' or --seed)")
+        seed = RngStream(seed).seed  # refuses a seed outside 0..2**64 - 1
+        n_samples = FULL_SCALE_N if args.full else cfg.get("n_samples", DESK_SCALE_N)
         out_dir = args.out or cfg.get("out_dir") or DEFAULT_OUT_DIR
         if args.command == "bnn":
             return cmd_bnn_experiment(cfg, out_dir, seed, n_samples)
         if args.command == "estimate":
             return cmd_estimate_tail(cfg, out_dir, seed, n_samples)
         return cmd_closure_suite(cfg, out_dir, seed, n_samples)
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OverflowAbortError as exc:
         print(f"error: {exc}", file=sys.stderr)

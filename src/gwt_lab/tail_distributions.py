@@ -202,17 +202,10 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.float64)
     family = spec.family
-    if family == "gaussian":
-        return p["sigma"] * g.standard_normal(n)
-    if family == "laplace":
-        return g.laplace(0.0, p["scale"], n)
+    if family in ("gaussian", "laplace", "generalized_gaussian"):
+        return _symmetric_draws(g, family, p.get("shape"), p.get("sigma", p.get("scale")), n)
     if family == "weibull":
         return p["scale"] * g.weibull(p["shape"], n)
-    if family == "generalized_gaussian":
-        shape = p["shape"]
-        magnitude = p["scale"] * g.gamma(1.0 / shape, 1.0, n) ** (1.0 / shape)
-        sign = np.where(g.random(n) < 0.5, -1.0, 1.0)
-        return sign * magnitude
     if family == "oscillating_gwt":
         # u in (0, 1]; u == 1 maps to x == 0
         u = 1.0 - g.random(n)
@@ -221,6 +214,20 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
         return p["scale"] * g.standard_t(p["dof"], n)
     # point_mass
     return np.full(n, p["value"], dtype=np.float64)
+
+
+def _symmetric_draws(gen: np.random.Generator, family: str, beta, scale: float, size) -> np.ndarray:
+    """Gaussian, Laplace or generalized-Gaussian (shape ``beta``) variates of ``size``.
+
+    Draw order is fixed, magnitudes before signs; network weight priors draw through here too.
+    """
+    if family == "gaussian":
+        return scale * gen.standard_normal(size)
+    if family == "laplace":
+        return gen.laplace(0.0, scale, size)
+    magnitude = scale * gen.gamma(1.0 / beta, 1.0, size) ** (1.0 / beta)
+    sign = np.where(gen.random(size) < 0.5, -1.0, 1.0)
+    return sign * magnitude
 
 
 def symmetrize(samples: np.ndarray, rng: RngStream) -> np.ndarray:

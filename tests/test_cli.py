@@ -1,14 +1,20 @@
 """End-to-end tests of the gwt-lab command-line interface."""
 
+import hashlib
 import io
 import json
 import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwt_lab import refit_beta_from_points
-from gwt_lab.cli import main
+from gwt_lab.cli import SCHEMA, main
 
 
 def write_config(tmp_path, name="cfg.json", **cfg):
@@ -54,36 +60,140 @@ def read_bundle(out_dir):
 
 
 SMALL_NETWORK = {"input_dim": 10, "widths": [2], "priors": [{"family": "gaussian"}]}
+GAUSSIAN = {"family": "gaussian", "params": {"sigma": 1.0}}
+HUGE = 10**30
+
+
+def small_prior(**prior):
+    return {"network": {**SMALL_NETWORK, "priors": [prior]}}
+
 
 # (command, config sections, expected message fragment); each must exit 2, not crash
 MISTYPED_CONFIGS = {
-    "widths_not_numbers": ("bnn", {"network": {**SMALL_NETWORK, "widths": ["a"]}}, "bad network"),
-    "widths_fractional": ("bnn", {"network": {**SMALL_NETWORK, "widths": [2.7]}}, "bad network"),
-    "widths_bool": ("bnn", {"network": {**SMALL_NETWORK, "widths": [True]}}, "bad network"),
-    "input_dim_fractional": ("bnn", {"network": {**SMALL_NETWORK, "input_dim": 8.5}}, "bad network"),
-    "activation_list": ("bnn", {"network": {**SMALL_NETWORK, "activation": ["relu"]}}, "bad network"),
-    "prior_family_list": (
-        "bnn", {"network": {**SMALL_NETWORK, "priors": [{"family": ["gaussian"]}]}}, "bad prior [0]"
-    ),
-    "prior_beta_w_text": (
-        "bnn", {"network": {**SMALL_NETWORK, "priors": [{"family": "gaussian", "beta_w": "x"}]}}, "bad prior [0]"
-    ),
+    "widths_not_numbers": ("bnn", {"network": {**SMALL_NETWORK, "widths": ["a"]}}, "config.network.widths[0]"),
+    "widths_fractional": ("bnn", {"network": {**SMALL_NETWORK, "widths": [2.7]}}, "config.network.widths[0]"),
+    "widths_bool": ("bnn", {"network": {**SMALL_NETWORK, "widths": [True]}}, "config.network.widths[0]"),
+    "widths_huge": ("bnn", {"network": {**SMALL_NETWORK, "widths": [HUGE]}}, "config.network.widths[0]"),
+    "input_dim_fractional": ("bnn", {"network": {**SMALL_NETWORK, "input_dim": 8.5}}, "config.network.input_dim"),
+    "activation_list": ("bnn", {"network": {**SMALL_NETWORK, "activation": ["relu"]}}, "config.network.activation"),
+    "prior_family_list": ("bnn", small_prior(family=["gaussian"]), "config.network.priors[0].family"),
+    "prior_beta_w_text": ("bnn", small_prior(family="gaussian", beta_w="x"), "config.network.priors[0].beta_w"),
+    "prior_beta_w_numeric_text": ("bnn", small_prior(family="gaussian", beta_w="2"), "config.network.priors[0].beta_w"),
+    "prior_beta_w_bool": ("bnn", small_prior(family="laplace", beta_w=True), "config.network.priors[0].beta_w"),
     "prior_not_object": ("bnn", {"network": {**SMALL_NETWORK, "priors": ["x"]}}, "must be an object"),
     "network_not_object": ("bnn", {"network": ["x"]}, "must be an object"),
-    "q_lo_text": ("bnn", {"network": SMALL_NETWORK, "fit_window": {"q_lo": "0.9"}}, "bad fit_window"),
-    "grid_size_fractional": ("bnn", {"network": SMALL_NETWORK, "fit_window": {"grid_size": 60.5}}, "bad fit_window"),
-    "min_points_text": ("bnn", {"network": SMALL_NETWORK, "fit_window": {"min_points": "9"}}, "bad fit_window"),
+    "q_lo_text": ("bnn", {"network": SMALL_NETWORK, "fit_window": {"q_lo": "0.9"}}, "config.fit_window.q_lo"),
+    "grid_size_fractional": (
+        "bnn", {"network": SMALL_NETWORK, "fit_window": {"grid_size": 60.5}}, "config.fit_window.grid_size"
+    ),
+    "grid_size_huge": (
+        "estimate", {"distribution": GAUSSIAN, "fit_window": {"grid_size": HUGE}}, "config.fit_window.grid_size"
+    ),
+    "min_points_text": (
+        "bnn", {"network": SMALL_NETWORK, "fit_window": {"min_points": "9"}}, "config.fit_window.min_points"
+    ),
+    "n_samples_huge": ("estimate", {"distribution": GAUSSIAN, "n_samples": HUGE}, "config.n_samples"),
     "distribution_not_object": ("estimate", {"distribution": "gaussian"}, "must be an object"),
+    "params_bool": (
+        "estimate", {"distribution": {**GAUSSIAN, "params": {"sigma": True}}}, "config.distribution.params.sigma"
+    ),
+    # refused even when --out overrides it: the whole config is checked before any work
+    "out_dir_int": ("estimate", {"distribution": GAUSSIAN, "out_dir": 5}, "config.out_dir"),
 }
+
+# Leaves of the fuzzed config trees, and, by key, values that pass the schema. Suite
+# "pd" is left out: its checks sample at least 1e5 values whatever n_samples is.
+LEAVES = [None, True, "x", "0.9", -1, 0, 2, 2.5, HUGE, [], {}, ["a"]]
+SMALL_LEAVES = [v for v in LEAVES if v is not HUGE]
+VALID = {
+    "command": ["bnn", "estimate", "closure"],
+    "seed": [1],
+    "n_samples": [2],
+    "suite": ["sum", "negatives", "all"],
+    "out_dir": ["out"],
+    "q_lo": [0.5],
+    "q_hi": [0.9],
+    "grid_size": [60],
+    "min_points": [10],
+    "input_dim": [2],
+    "widths": [2],
+    "activation": ["relu", "tanh"],
+    "family": ["gaussian", "laplace", "generalized_gaussian", "weibull"],
+    "beta_w": [2.0],
+    "scale_policy": ["unit"],
+    "params": [{"sigma": 1.0}, {"scale": 1.0}, {"shape": 2.5, "scale": 1.0}, {"shape": 2}],
+}
+KEYS = ["config", "fit_window", "network", "priors", "priors[]", "widths[]", "distribution", *VALID]
+OPTIONAL_KEYS = [k for k in KEYS if k not in ("config", "n_samples")]
+
+
+def config_trees(kind, key, bad, missing):
+    """Strategy for a JSON tree over SCHEMA's keys, shaped like ``kind``.
+
+    A key in ``bad`` gets a value from LEAVES (``key[]`` for each entry of a list) and a key
+    in ``missing`` is left out; every other leaf passes the schema, so that most trees
+    reach the commands' own checks.
+    """
+    if key in bad:
+        return st.sampled_from(LEAVES)
+    if isinstance(kind, dict):
+        fields = {k: config_trees(v, k, bad, missing) for k, v in kind.items() if k not in missing}
+        return st.fixed_dictionaries(fields)
+    if isinstance(kind, list):
+        return st.lists(config_trees(kind[0], f"{key}[]", bad, missing), min_size=1, max_size=2)
+    return st.sampled_from(VALID[key.removesuffix("[]")])
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("case", sorted(MISTYPED_CONFIGS))
     def test_mistyped_field_is_a_config_error(self, tmp_path, capsys, case):
         command, sections, message = MISTYPED_CONFIGS[case]
-        path = write_config(tmp_path, command=command, seed=1, n_samples=20000, **sections)
+        path = write_config(tmp_path, **{"command": command, "seed": 1, "n_samples": 20000, **sections})
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        command=st.sampled_from(VALID["command"]),
+        bad=st.sets(st.sampled_from(KEYS), max_size=2),
+        missing=st.sets(st.sampled_from(OPTIONAL_KEYS), max_size=2),
+        data=st.data(),
+    )
+    def test_no_config_tree_raises(self, command, bad, missing, data):
+        """Any tree over the schema's keys ends in an exit status; a refused one writes nothing."""
+        tree = data.draw(config_trees(SCHEMA, "config", bad, missing))
+        if "n_samples" in bad and isinstance(tree, dict):  # small: each run must stay cheap
+            tree["n_samples"] = data.draw(st.sampled_from(SMALL_LEAVES))
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"GWT_LAB_THREADS": "1"}):
+            (Path(tmp) / "cfg.json").write_text(json.dumps(tree))
+            os.chdir(tmp)
+            try:
+                with mock.patch("sys.stdin", io.StringIO("1.0\n2.0\n")):
+                    status = main([command, "--config", "cfg.json"])
+            finally:
+                os.chdir(cwd)
+            assert status in (0, 1, 2, 3, 4)
+            if status == 2:
+                assert not list(Path(tmp).rglob("summary.json"))
+                assert not list(Path(tmp).rglob("curves.csv"))
+
+    def test_refused_allocation_exits_2(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 3.73 GiB")
+
+        monkeypatch.setattr("gwt_lab.cli.sample_iid", refuse)
+        path = write_config(tmp_path, command="estimate", seed=1, n_samples=10**6, distribution=GAUSSIAN)
+        assert main(["estimate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "out of memory" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_thread_count_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GWT_LAB_THREADS", "abc")
+        path = write_config(tmp_path, command="bnn", seed=1, n_samples=2000, network=SMALL_NETWORK)
+        assert main(["bnn", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "GWT_LAB_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
@@ -110,6 +220,18 @@ class TestConfigValidation:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["bnn", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfe{}", b'{"seed": ' + b"9" * 5000 + b"}"], ids=["directory", "not_utf8", "long_int"]
+    )
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["bnn", "--config", str(path)]) == 2
+        assert "config" in capsys.readouterr().err
 
     def test_unknown_network_key(self, tmp_path):
         path = write_config(
@@ -228,6 +350,13 @@ class TestEstimateCommand:
         pts = curve_points(curves)["weibull"]
         assert abs(refit_beta_from_points(pts) - summary["beta_hat"]) < 1e-9
 
+    def test_unwritable_out_dir(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = write_config(tmp_path, command="estimate", seed=3, n_samples=20000, distribution=GAUSSIAN)
+        assert main(["estimate", "--config", path, "--out", str(blocker / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_distribution(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -301,3 +430,63 @@ class TestClosureCommand:
         assert {"truncation_gaussian_m1", "truncation_gaussian_m10"} <= set(fitted)
         for name, beta_hat in fitted.items():
             assert abs(refit_beta_from_points(by_label[name]) - beta_hat) < 1e-9
+
+
+# command -> (config, exit status, sha256 of each bundle file)
+GOLDEN_BUNDLES = {
+    "closure": (
+        {"command": "closure", "seed": 7, "suite": "all", "n_samples": 100000},
+        1,
+        {
+            "summary.json": "f1dfda72b946524f13b18bebe9f4b6f5cf1d197db9425d0a78a602bc377b3814",
+            "curves.csv": "7650665ebbe0c9cc2a0e7497aef6538e867e9807e4886329b5661c1a8df55d93",
+        },
+    ),
+    "bnn": (
+        {
+            "command": "bnn",
+            "seed": 11,
+            "n_samples": 20000,
+            "fit_window": {"q_lo": 0.9, "q_hi": 0.999},
+            "network": {
+                "input_dim": 300,
+                "widths": [3, 3],
+                "priors": [{"family": "gaussian", "beta_w": 2.0}, {"family": "laplace", "beta_w": 1.0}],
+            },
+        },
+        0,
+        {
+            "summary.json": "30ac9948c1136ea9464bb1abe9be0ce7bddea3516967bdfb19b7e3852123c283",
+            "curves.csv": "02c0ade16d66ac59057dbab6fb194735f4d9436e8db19cdc7db1ea927dbf4af3",
+        },
+    ),
+    "estimate": (
+        {
+            "command": "estimate",
+            "seed": 3,
+            "n_samples": 200000,
+            "distribution": {"family": "weibull", "params": {"shape": 1.0, "scale": 1.0}},
+        },
+        0,
+        {
+            "summary.json": "0cdebc565c9bd55b0f8695e07e1d2c2af4e56ae78b50be43aeab2357764a0c4b",
+            "curves.csv": "16d55e6d329635e74f03cc4b4902de0e3b65c574558e048d0e406a9698923059",
+        },
+    ),
+}
+
+
+class TestGoldenBundles:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_BUNDLES))
+    def test_fixed_seed_bundle_digests(self, tmp_path, monkeypatch, command):
+        """A refactor that leaves results unchanged leaves these bundles byte-identical.
+
+        The digests were taken with numpy 2.4.6 and scipy 1.17.1 on x86-64 Linux; another
+        numpy or scipy release may draw or compute different bits, and then they need
+        re-recording from a commit known to be correct.
+        """
+        cfg, status, digests = GOLDEN_BUNDLES[command]
+        monkeypatch.setenv("GWT_LAB_THREADS", "2")
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, **cfg), "--out", str(out)]) == status
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
