@@ -1,8 +1,8 @@
 """Monte Carlo prior sampling of feedforward network hidden units.
 
 Weights are drawn fresh per replicate from symmetric priors and a fixed
-input is propagated through the network; the tracked unit's pre- and
-post-activations are recorded per layer. Replicate ``i`` always draws
+input is propagated through the network; the pre- and post-activations
+of unit 0 are recorded per layer. Replicate ``i`` always draws
 from stream id ``i`` of the configured seed, so results are bitwise
 identical for any worker count.
 """
@@ -69,7 +69,6 @@ class NetworkConfig:
     activation: str = "relu"
     n_samples: int = 10**5
     seed: int = 0
-    tracked_unit: int = 0
 
     def __post_init__(self):
         require_integer("input_dim", self.input_dim)
@@ -88,8 +87,6 @@ class NetworkConfig:
             raise ParameterError(f"activation must be one of {sorted(ACTIVATIONS)}")
         if self.n_samples < 0:
             raise ParameterError("n_samples must be >= 0")
-        if not 0 <= self.tracked_unit < min(self.widths):
-            raise ParameterError("tracked_unit must index a unit present in every layer")
 
     @property
     def depth(self) -> int:
@@ -98,17 +95,16 @@ class NetworkConfig:
 
 @dataclass
 class UnitTrace:
-    """Per-layer tracked-unit samples from a Monte Carlo run.
+    """Per-layer samples of unit 0 from a Monte Carlo run.
 
-    ``g[l]`` and ``h[l]`` hold the pre- and post-activations of layer
-    ``l + 1`` over all replicates. Replicates that overflowed carry NaN
+    ``g[l]`` and ``h[l]`` hold the pre- and post-activations of unit 0 in
+    layer ``l + 1`` over all replicates. Replicates that overflowed carry NaN
     and are listed in ``overflow_replicates``.
     """
 
     g: list[np.ndarray]
     h: list[np.ndarray]
     n_samples: int
-    config: NetworkConfig
     degenerate_input: bool = False
     overflow_replicates: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
@@ -146,9 +142,8 @@ def _activate(name: str, g: np.ndarray) -> np.ndarray:
 
 
 def _forward_with_generator(config: NetworkConfig, input_vec: np.ndarray, gen, replicate=None):
-    """One replicate's forward pass; returns per-layer tracked (g, h)."""
+    """One replicate's forward pass; returns per-layer (g, h) of unit 0."""
     h = input_vec
-    t = config.tracked_unit
     g_out = np.empty(config.depth)
     h_out = np.empty(config.depth)
     for idx, (prior, width) in enumerate(zip(config.layer_priors, config.widths)):
@@ -160,16 +155,16 @@ def _forward_with_generator(config: NetworkConfig, input_vec: np.ndarray, gen, r
                 f"non-finite pre-activation at layer {idx + 1}", layer=idx + 1, replicate=replicate
             )
         h = _activate(config.activation, g)
-        g_out[idx] = g[t]
-        h_out[idx] = h[t]
+        g_out[idx] = g[0]
+        h_out[idx] = h[0]
     return g_out, h_out
 
 
 def forward_sample(config: NetworkConfig, input_vec: np.ndarray, rng: RngStream):
-    """One prior draw of all layers' tracked-unit (g, h) values.
+    """One prior draw of all layers' (g, h) values of unit 0.
 
-    All hidden units of each layer are computed; the tracked unit's
-    values are returned as two arrays of length ``depth``.
+    All hidden units of each layer are computed; unit 0's values are
+    returned as two arrays of length ``depth``.
     """
     input_vec = np.asarray(input_vec, dtype=np.float64)
     if input_vec.size != config.input_dim:
@@ -222,8 +217,9 @@ def run_prior_monte_carlo(
     Replicate ``i`` uses stream id ``i`` of ``config.seed``, so the trace
     is identical for any worker count. ``workers`` defaults to the
     GWT_LAB_THREADS environment variable (1 if unset), which also caps an
-    explicit value. Aborts when more than 0.01 percent of replicates
-    overflow.
+    explicit value. The pool never exceeds the CPUs this process may run
+    on or the number of chunks: a fork pool starts all its processes at
+    once. Aborts when more than 0.01 percent of replicates overflow.
     """
     if input_vec is None:
         input_vec = make_input(config.input_dim, config.seed)
@@ -234,13 +230,15 @@ def run_prior_monte_carlo(
         )
     n = config.n_samples
     depth = config.depth
-    workers = _resolve_workers(workers)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(_resolve_workers(workers), cpus)
     g_layers = [np.empty(n) for _ in range(depth)]
     h_layers = [np.empty(n) for _ in range(depth)]
     overflowed: list[int] = []
 
     chunk = max(1, min(20_000, -(-n // (workers * 4)))) if n else 1
     ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+    workers = min(workers, len(ranges))
 
     def consume(result):
         start, g_block, h_block, over = result
@@ -250,7 +248,7 @@ def run_prior_monte_carlo(
             h_layers[l][start:stop] = h_block[l]
         overflowed.extend(over)
 
-    if workers == 1 or len(ranges) <= 1:
+    if workers <= 1:
         for s, e in ranges:
             consume(_run_chunk(config, input_vec, s, e))
     else:
@@ -270,7 +268,6 @@ def run_prior_monte_carlo(
         g=g_layers,
         h=h_layers,
         n_samples=n,
-        config=config,
         degenerate_input=not np.any(input_vec),
         overflow_replicates=np.asarray(sorted(overflowed), dtype=np.int64),
     )

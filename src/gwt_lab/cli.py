@@ -26,7 +26,7 @@ from .bnn_sampler import (
     predicted_tail_parameter,
     run_prior_monte_carlo,
 )
-from .closure_lab import closure_suite, closure_tolerance
+from .closure_lab import RULE_PRODUCT_HARMONIC, closure_suite, judge_tail
 from .errors import (
     ConfigError,
     DegenerateTailError,
@@ -37,12 +37,7 @@ from .errors import (
 )
 from .rng import RngStream
 from .tail_distributions import DistributionSpec, sample_iid
-from .tail_estimation import (
-    EmpiricalTail,
-    FitWindow,
-    estimate_tail_index,
-    loglog_points,
-)
+from .tail_estimation import EmpiricalTail, FitWindow, estimate_with_points
 
 DESK_SCALE_N = 10**5
 FULL_SCALE_N = 10**6
@@ -209,20 +204,18 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int) -> in
         samples = trace.g[l]
         if trace.overflow_replicates.size:
             samples = samples[np.isfinite(samples)]
-        tail = EmpiricalTail.from_samples(samples, side="right")
-        pts = loglog_points(tail, window)
-        est = estimate_tail_index(tail, window)
-        tol = closure_tolerance(predicted, est.stderr_slope)
+        # the depth rule composes products harmonically; the rule name is not serialized
+        report = judge_tail(RULE_PRODUCT_HARMONIC, predicted, samples, "right", window)
         layers.append(
             {
                 "layer": l + 1,
                 "predicted_beta": predicted,
-                **est.to_dict(),
-                "tolerance": tol,
-                "within_tolerance": bool(abs(est.beta_hat - predicted) <= tol),
+                **report.estimated.to_dict(),
+                "tolerance": report.tolerance,
+                "within_tolerance": report.passed,
             }
         )
-        rows.extend(_points_rows(f"layer{l + 1}", pts))
+        rows.extend(_points_rows(f"layer{l + 1}", report.points))
     summary = {
         "command": "bnn",
         "seed": seed,
@@ -253,14 +246,17 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int) -> in
 
 def _read_stdin_samples(stream) -> np.ndarray:
     values = []
-    for lineno, line in enumerate(stream, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise ConfigError(f"unparseable sample on line {lineno}: {text!r}")
+    try:
+        for lineno, line in enumerate(stream, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ConfigError(f"unparseable sample on line {lineno}: {text!r}")
+    except UnicodeDecodeError as exc:  # raised by the stream itself, a chunk at a time
+        raise ConfigError(f"stdin is not valid UTF-8: {exc}") from None
     return np.asarray(values, dtype=np.float64)
 
 
@@ -275,9 +271,7 @@ def cmd_estimate_tail(cfg: dict, out_dir: str, seed: int, n_samples: int, stdin=
         label = "samples"
     if samples.size == 0:
         raise InsufficientDataError("no samples supplied")
-    tail = EmpiricalTail.from_samples(samples, side="right")
-    pts = loglog_points(tail, window)
-    est = estimate_tail_index(tail, window)
+    est, pts = estimate_with_points(EmpiricalTail.from_samples(samples, side="right"), window)
     summary = {
         "command": "estimate",
         "seed": seed,

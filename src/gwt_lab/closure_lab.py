@@ -5,6 +5,8 @@ independent products compose harmonically, powers divide it), the
 positive-dependence constant behind the sum rule, and the negative
 controls built from truncation. ``closure_suite`` runs the canned checks
 behind ``gwt-lab closure`` and yields one ``CheckResult`` per verdict.
+``judge_tail`` judges a fitted tail parameter against its prediction, for
+these rules and for the per-layer depth rule of ``gwt-lab bnn``.
 """
 from __future__ import annotations
 
@@ -34,8 +36,7 @@ from .tail_estimation import (
     TailEstimate,
     check_subweibull_envelope,
     empirical_survival,
-    estimate_tail_index,
-    loglog_points,
+    estimate_with_points,
 )
 
 RULE_SUM_MIN = "sum_min"
@@ -46,6 +47,10 @@ DEFAULT_Z_QUANTILES = (0.5, 0.9, 0.99, 0.999, 0.9999)
 DEFAULT_MIN_CELL_COUNT = 100
 _PD_MIN_SAMPLES = 10**5
 
+# two-layer ReLU net behind weight_unit_product_samples
+PRODUCT_NET_INPUT_DIM = 16
+PRODUCT_NET_HIDDEN_WIDTH = 4
+
 # relative band plus noise floor: slowly-varying bias scales with beta
 RELATIVE_TOLERANCE = 0.15
 
@@ -54,13 +59,9 @@ def closure_tolerance(predicted_beta: float, stderr: float) -> float:
     return max(RELATIVE_TOLERANCE * predicted_beta, 2.0 * stderr)
 
 
-def feasible_z_quantiles(
-    n: int,
-    quantiles=DEFAULT_Z_QUANTILES,
-    min_cell_count: int = DEFAULT_MIN_CELL_COUNT,
-) -> tuple[float, ...]:
-    """Drop z-grid quantiles whose conditioning cell would be under-filled."""
-    kept = tuple(q for q in quantiles if n * (1.0 - q) >= min_cell_count)
+def feasible_z_quantiles(n: int, min_cell_count: int = DEFAULT_MIN_CELL_COUNT) -> tuple[float, ...]:
+    """Drop default z-grid quantiles whose conditioning cell would be under-filled."""
+    kept = tuple(q for q in DEFAULT_Z_QUANTILES if n * (1.0 - q) >= min_cell_count)
     if not kept:
         raise InsufficientDataError(
             f"no usable z quantile at n={n} with min_cell_count={min_cell_count}"
@@ -81,23 +82,30 @@ class PDEstimate:
     c_hat: float
     z_grid: np.ndarray
     per_z_conditional: np.ndarray
-    min_cell_count: int
     side: str
 
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Predicted vs estimated tail parameter for one closure check."""
+    """Predicted vs estimated tail parameter for one closure check.
+
+    The check passes when the estimate lies within ``tolerance`` of the
+    prediction; ``points`` are the log-log points it was fitted on.
+    """
 
     rule: str
     predicted_beta: float
     estimated: TailEstimate
-    verdict: str
-    points: np.ndarray | None = None
+    tolerance: float
+    points: np.ndarray
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return abs(self.estimated.beta_hat - self.predicted_beta) <= self.tolerance
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 @dataclass(frozen=True)
@@ -115,19 +123,13 @@ class TruncationReport:
     points: np.ndarray | None = None
 
 
-def estimate_pd_constant(
-    joint_samples,
-    conditioning_index: int = -1,
-    side: str = SIDE_RIGHT,
-    z_quantiles=DEFAULT_Z_QUANTILES,
-    min_cell_count: int = DEFAULT_MIN_CELL_COUNT,
-) -> PDEstimate:
-    """Empirical PD constant of a joint sample matrix.
+def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, z_quantiles=DEFAULT_Z_QUANTILES) -> PDEstimate:
+    """Empirical PD constant of a joint sample matrix, conditioned on its last column.
 
     For each z at the requested quantiles of the conditioning coordinate,
     computes P(all other coordinates >= 0 | X_cond >= z) on the right
     side (both inequalities flipped on the left). Every conditioning cell
-    must contain at least ``min_cell_count`` events.
+    must contain at least ``DEFAULT_MIN_CELL_COUNT`` events.
     """
     x = np.asarray(joint_samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
@@ -140,8 +142,7 @@ def estimate_pd_constant(
     qs = np.asarray(z_quantiles, dtype=np.float64)
     if np.any(qs < 0.5) or np.any(qs > 0.9999):
         raise ParameterError("z_quantiles must lie within [0.5, 0.9999]")
-    cond = x[:, conditioning_index]
-    others = np.delete(x, conditioning_index % x.shape[1], axis=1)
+    cond, others = x[:, -1], x[:, :-1]
     if side == SIDE_RIGHT:
         z_grid = np.quantile(cond, qs)
         all_ok = (others >= 0).all(axis=1)
@@ -152,32 +153,18 @@ def estimate_pd_constant(
     for k, z in enumerate(z_grid):
         cell = cond >= z if side == SIDE_RIGHT else cond <= z
         count = int(cell.sum())
-        if count < min_cell_count:
+        if count < DEFAULT_MIN_CELL_COUNT:
             raise InsufficientDataError(
-                f"conditioning cell at z={z:g} has {count} events, need {min_cell_count}"
+                f"conditioning cell at z={z:g} has {count} events, need {DEFAULT_MIN_CELL_COUNT}"
             )
         per_z[k] = all_ok[cell].mean()
-    return PDEstimate(
-        c_hat=float(per_z.min()),
-        z_grid=z_grid,
-        per_z_conditional=per_z,
-        min_cell_count=min_cell_count,
-        side=side,
-    )
+    return PDEstimate(c_hat=float(per_z.min()), z_grid=z_grid, per_z_conditional=per_z, side=side)
 
 
-def _report(rule, predicted, samples, side, window) -> ClosureReport:
-    tail = EmpiricalTail.from_samples(samples, side=side)
-    pts = loglog_points(tail, window)
-    estimate = estimate_tail_index(tail, window)
-    tol = closure_tolerance(predicted, estimate.stderr_slope)
-    return ClosureReport(
-        rule=rule,
-        predicted_beta=predicted,
-        estimated=estimate,
-        verdict="pass" if abs(estimate.beta_hat - predicted) <= tol else "fail",
-        points=pts,
-    )
+def judge_tail(rule: str, predicted: float, samples, side: str, window: FitWindow) -> ClosureReport:
+    """Fit the tail of ``samples`` folded on ``side`` and judge it against ``predicted``."""
+    estimate, points = estimate_with_points(EmpiricalTail.from_samples(samples, side=side), window)
+    return ClosureReport(rule, predicted, estimate, closure_tolerance(predicted, estimate.stderr_slope), points)
 
 
 def check_sum_rule(
@@ -204,7 +191,7 @@ def check_sum_rule(
     total = np.zeros(n)
     for k, spec in enumerate(specs):
         total += sample_iid(spec, n, rng.child(k))
-    return _report(RULE_SUM_MIN, min(finite), total, SIDE_RIGHT, window)
+    return judge_tail(RULE_SUM_MIN, min(finite), total, SIDE_RIGHT, window)
 
 
 def _require_symmetric_real(spec: DistributionSpec, what: str) -> TailClass:
@@ -241,7 +228,7 @@ def check_product_rule(
         predicted = 1.0 / (1.0 / tc_x.beta + 1.0 / tc_y.beta)
     x = sample_iid(spec_x, n, rng.child(0))
     y = sample_iid(spec_y, n, rng.child(1))
-    return _report(RULE_PRODUCT_HARMONIC, predicted, x * y, SIDE_ABSOLUTE, window)
+    return judge_tail(RULE_PRODUCT_HARMONIC, predicted, x * y, SIDE_ABSOLUTE, window)
 
 
 def check_power_rule(
@@ -258,7 +245,7 @@ def check_power_rule(
     tc = _require_symmetric_real(spec, "power rule")
     x = sample_iid(spec, n, rng.child(0))
     transformed = a * np.abs(x) ** b
-    return _report(RULE_POWER, tc.beta / b, transformed, SIDE_RIGHT, window)
+    return judge_tail(RULE_POWER, tc.beta / b, transformed, SIDE_RIGHT, window)
 
 
 def negative_control_truncation(
@@ -285,8 +272,7 @@ def negative_control_truncation(
     beyond = float(empirical_survival(tail, 2.0 * m * (1.0 + 1e-12)))
     outcome, estimate, points = "estimate", None, None
     try:
-        estimate = estimate_tail_index(tail, window)
-        points = loglog_points(tail, window)
+        estimate, points = estimate_with_points(tail, window)
     except DegenerateTailError:
         outcome = "degenerate"
     except InsufficientDataError:
@@ -311,8 +297,6 @@ def weight_unit_product_samples(
     n: int,
     n_units: int,
     rng: RngStream = RngStream(0),
-    input_dim: int = 16,
-    hidden_width: int = 4,
 ) -> np.ndarray:
     """Joint samples of weight-times-unit products from a two-layer net.
 
@@ -324,15 +308,15 @@ def weight_unit_product_samples(
     if n_units < 2:
         raise ParameterError("need at least two product coordinates")
     gen = rng.generator()
-    x = rng.child(1).generator().standard_normal(input_dim)
+    x = rng.child(1).generator().standard_normal(PRODUCT_NET_INPUT_DIM)
     out = np.empty((n, n_units))
     chunk = 100_000
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         m = stop - start
-        w1 = gen.standard_normal((m, input_dim, hidden_width))
+        w1 = gen.standard_normal((m, PRODUCT_NET_INPUT_DIM, PRODUCT_NET_HIDDEN_WIDTH))
         h1 = np.maximum(np.einsum("d,mdk->mk", x, w1), 0.0)
-        w2 = gen.standard_normal((m, hidden_width, n_units))
+        w2 = gen.standard_normal((m, PRODUCT_NET_HIDDEN_WIDTH, n_units))
         h2 = np.maximum(np.einsum("mk,mku->mu", h1, w2), 0.0)
         w3 = gen.standard_normal((m, n_units))
         out[start:stop] = w3 * h2

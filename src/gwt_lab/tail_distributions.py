@@ -20,7 +20,7 @@ point_mass            degenerate at a single value
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -37,10 +37,6 @@ BOUNDED = "bounded"
 _KINDS_WITH_BETA = frozenset({WT_REAL, GWT_NONNEG})
 _KINDS = frozenset({WT_REAL, GWT_NONNEG, POWER_TAIL, BOUNDED})
 
-# supports
-REAL_LINE = "real_line"
-NONNEG = "nonneg"
-
 FAMILIES = frozenset(
     {
         "gaussian",
@@ -52,16 +48,6 @@ FAMILIES = frozenset(
         "point_mass",
     }
 )
-
-_FAMILY_SUPPORT = {
-    "gaussian": REAL_LINE,
-    "laplace": REAL_LINE,
-    "weibull": NONNEG,
-    "generalized_gaussian": REAL_LINE,
-    "oscillating_gwt": NONNEG,
-    "student_t": REAL_LINE,
-    "point_mass": REAL_LINE,
-}
 
 # parameters each family requires (all but point_mass strictly positive)
 _FAMILY_PARAMS = {
@@ -110,7 +96,6 @@ class DistributionSpec:
 
     family: str
     params: Mapping[str, float]
-    support: str = field(init=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -133,7 +118,6 @@ class DistributionSpec:
                 f"got {self.params['shape']}"
             )
         object.__setattr__(self, "params", dict(self.params))
-        object.__setattr__(self, "support", _FAMILY_SUPPORT[self.family])
 
     # -- constructors ----------------------------------------------------
 

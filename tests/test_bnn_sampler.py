@@ -1,5 +1,8 @@
 """Tests for the Monte Carlo prior-propagation engine."""
 
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,7 @@ from gwt_lab import (
     predicted_tail_parameter,
     run_prior_monte_carlo,
 )
+from gwt_lab import bnn_sampler
 
 GAUSS = LayerPrior("gaussian", 2.0)
 GAUSS_UNIT = LayerPrior("gaussian", 2.0, scale_policy="unit")
@@ -61,10 +65,6 @@ class TestNetworkConfig:
     def test_priors_must_match_depth(self):
         with pytest.raises(ParameterError):
             small_config(widths=(4, 4, 4))
-
-    def test_tracked_unit_in_every_layer(self):
-        with pytest.raises(ParameterError):
-            small_config(widths=(4, 2), tracked_unit=3)
 
     def test_bad_activation(self):
         with pytest.raises(ParameterError):
@@ -219,6 +219,35 @@ class TestRunPriorMonteCarlo:
         default = run_prior_monte_carlo(cfg)
         for l in range(cfg.depth):
             np.testing.assert_array_equal(capped.g[l], default.g[l])
+
+    def test_huge_thread_count_capped_by_cpus(self, monkeypatch):
+        """A pool never asks for more processes than CPUs; the stub runs chunks inline, starting none."""
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                result = fn(*args)
+                return SimpleNamespace(result=lambda: result)
+
+        monkeypatch.setattr(bnn_sampler, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("GWT_LAB_THREADS", "1000000")
+        cfg = small_config(n_samples=500)
+        capped = run_prior_monte_carlo(cfg)
+        solo = run_prior_monte_carlo(cfg, workers=1)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert all(1 < m <= cpus for m in requested)
+        assert len(requested) == (cpus > 1)
+        for a, b in zip(capped.g + capped.h, solo.g + solo.h):
+            np.testing.assert_array_equal(a, b)
 
     def test_zero_input_flagged_degenerate(self):
         cfg = small_config(n_samples=10)

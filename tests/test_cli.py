@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwt_lab import refit_beta_from_points
+from gwt_lab import closure_tolerance, refit_beta_from_points
 from gwt_lab.cli import SCHEMA, main
 
 
@@ -311,6 +311,9 @@ class TestBnnCommand:
         for rec in summary["layers"]:
             pts = by_label[f"layer{rec['layer']}"]
             assert abs(refit_beta_from_points(pts) - rec["beta_hat"]) < 1e-9
+            # the layer verdict is the closure rules' verdict
+            assert rec["tolerance"] == closure_tolerance(rec["predicted_beta"], rec["stderr_slope"])
+            assert rec["within_tolerance"] == (abs(rec["beta_hat"] - rec["predicted_beta"]) <= rec["tolerance"])
 
 
 class TestEstimateCommand:
@@ -329,6 +332,12 @@ class TestEstimateCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO("1.0\n2.0\noops\n"))
         assert main(["estimate", "--out", str(tmp_path / "o")]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_stdin_not_utf8(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1.0\n\xff\xfe\n"), encoding="utf-8"))
+        assert main(["estimate", "--out", str(tmp_path / "o")]) == 2
+        assert "stdin is not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_empty_stdin(self, tmp_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
@@ -420,6 +429,11 @@ class TestClosureCommand:
         ]
         assert status == (1 if any(r["verdict"] == "fail" for r in reports) else 0)
         assert all(r["verdict"] in ("pass", "fail") for r in reports)
+        for r in reports:
+            if r["kind"] == "closure":
+                tolerance = closure_tolerance(r["predicted_beta"], r["stderr_slope"])
+                within = abs(r["beta_hat"] - r["predicted_beta"]) <= tolerance
+                assert r["verdict"] == ("pass" if within else "fail")
         fitted = {
             r["name"]: r["beta_hat"] if "beta_hat" in r else r["tail_estimate"]["beta_hat"]
             for r in reports

@@ -49,11 +49,6 @@ class TestDistributionSpec:
         with pytest.raises(ParameterError):
             DistributionSpec("gaussian", {"scale": 1.0})
 
-    def test_support_is_derived(self):
-        assert DistributionSpec.gaussian().support == "real_line"
-        assert DistributionSpec.weibull(2.0).support == "nonneg"
-        assert DistributionSpec.oscillating_gwt(2.0).support == "nonneg"
-
     @given(st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     @settings(max_examples=30, deadline=None)
     def test_generalized_gaussian_tail_class_tracks_shape(self, shape):
