@@ -66,9 +66,9 @@ class NetworkConfig:
     input_dim: int
     widths: tuple[int, ...]
     layer_priors: tuple[LayerPrior, ...]
-    activation: str = "relu"
-    n_samples: int = 10**5
-    seed: int = 0
+    activation: str
+    n_samples: int
+    seed: int
 
     def __post_init__(self):
         require_integer("input_dim", self.input_dim)
@@ -141,7 +141,7 @@ def _activate(name: str, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _forward_with_generator(config: NetworkConfig, input_vec: np.ndarray, gen, replicate=None):
+def _forward_with_generator(config: NetworkConfig, input_vec: np.ndarray, gen):
     """One replicate's forward pass; returns per-layer (g, h) of unit 0."""
     h = input_vec
     g_out = np.empty(config.depth)
@@ -151,9 +151,7 @@ def _forward_with_generator(config: NetworkConfig, input_vec: np.ndarray, gen, r
         w = _symmetric_draws(gen, prior.family, prior.tail_beta_w, scale, (h.size, width))
         g = h @ w
         if not np.isfinite(g).all():
-            raise NumericalOverflowError(
-                f"non-finite pre-activation at layer {idx + 1}", layer=idx + 1, replicate=replicate
-            )
+            raise NumericalOverflowError(f"non-finite pre-activation at layer {idx + 1}")
         h = _activate(config.activation, g)
         g_out[idx] = g[0]
         h_out[idx] = h[0]
@@ -184,7 +182,7 @@ def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, start: int, stop: i
         i = start + j
         gen = RngStream(config.seed, i).generator()
         try:
-            g_row, h_row = _forward_with_generator(config, input_vec, gen, replicate=i)
+            g_row, h_row = _forward_with_generator(config, input_vec, gen)
         except NumericalOverflowError:
             g_block[:, j] = np.nan
             h_block[:, j] = np.nan
@@ -207,13 +205,10 @@ def _resolve_workers(workers) -> int:
     return min(workers, cap) if cap else workers
 
 
-def run_prior_monte_carlo(
-    config: NetworkConfig,
-    input_vec: np.ndarray | None = None,
-    workers: int | None = None,
-) -> UnitTrace:
+def run_prior_monte_carlo(config: NetworkConfig, workers: int | None = None) -> UnitTrace:
     """n_samples independent replicates of the prior forward pass.
 
+    The fixed input is ``make_input(config.input_dim, config.seed)``.
     Replicate ``i`` uses stream id ``i`` of ``config.seed``, so the trace
     is identical for any worker count. ``workers`` defaults to the
     GWT_LAB_THREADS environment variable (1 if unset), which also caps an
@@ -221,13 +216,7 @@ def run_prior_monte_carlo(
     on or the number of chunks: a fork pool starts all its processes at
     once. Aborts when more than 0.01 percent of replicates overflow.
     """
-    if input_vec is None:
-        input_vec = make_input(config.input_dim, config.seed)
-    input_vec = np.asarray(input_vec, dtype=np.float64)
-    if input_vec.size != config.input_dim:
-        raise ParameterError(
-            f"input has length {input_vec.size}, config expects {config.input_dim}"
-        )
+    input_vec = make_input(config.input_dim, config.seed)
     n = config.n_samples
     depth = config.depth
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -260,9 +249,7 @@ def run_prior_monte_carlo(
     if n and len(overflowed) > OVERFLOW_ABORT_FRACTION * n:
         raise OverflowAbortError(
             f"{len(overflowed)} of {n} replicates overflowed "
-            f"(> {OVERFLOW_ABORT_FRACTION:.2%} abort threshold)",
-            count=len(overflowed),
-            n_samples=n,
+            f"(> {OVERFLOW_ABORT_FRACTION:.2%} abort threshold)"
         )
     return UnitTrace(
         g=g_layers,

@@ -245,19 +245,22 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int) -> in
 
 
 def _read_stdin_samples(stream) -> np.ndarray:
-    values = []
-    try:
+    def values():
         for lineno, line in enumerate(stream, start=1):
             text = line.strip()
             if not text:
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise ConfigError(f"unparseable sample on line {lineno}: {text!r}")
+            yield value
+
+    # fromiter fills a float64 buffer directly, with no Python float per line kept alive
+    try:
+        return np.fromiter(values(), dtype=np.float64)
     except UnicodeDecodeError as exc:  # raised by the stream itself, a chunk at a time
         raise ConfigError(f"stdin is not valid UTF-8: {exc}") from None
-    return np.asarray(values, dtype=np.float64)
 
 
 def cmd_estimate_tail(cfg: dict, out_dir: str, seed: int, n_samples: int, stdin=None) -> int:

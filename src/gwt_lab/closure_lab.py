@@ -170,8 +170,8 @@ def judge_tail(rule: str, predicted: float, samples, side: str, window: FitWindo
 def check_sum_rule(
     specs,
     n: int,
-    window: FitWindow = FitWindow(),
-    rng: RngStream = RngStream(0),
+    window: FitWindow,
+    rng: RngStream,
 ) -> ClosureReport:
     """Sum of independent draws: the tail parameter is the minimum.
 
@@ -205,8 +205,8 @@ def check_product_rule(
     spec_x: DistributionSpec,
     spec_y: DistributionSpec,
     n: int,
-    window: FitWindow = FitWindow(),
-    rng: RngStream = RngStream(0),
+    window: FitWindow,
+    rng: RngStream,
 ) -> ClosureReport:
     """Product of independent symmetric draws: reciprocals add.
 
@@ -236,8 +236,8 @@ def check_power_rule(
     a: float,
     b: float,
     n: int,
-    window: FitWindow = FitWindow(),
-    rng: RngStream = RngStream(0),
+    window: FitWindow,
+    rng: RngStream,
 ) -> ClosureReport:
     """a |X|**b has tail parameter beta / b; the scale a changes nothing."""
     if a <= 0 or b <= 0:
@@ -252,7 +252,7 @@ def negative_control_truncation(
     spec: DistributionSpec,
     m: float,
     n: int,
-    rng: RngStream = RngStream(0),
+    rng: RngStream,
     window: FitWindow = FitWindow(),
 ) -> TruncationReport:
     """Truncation control: Y flips X outside [-m, m], so X + Y is capped.
@@ -296,7 +296,7 @@ def negative_control_truncation(
 def weight_unit_product_samples(
     n: int,
     n_units: int,
-    rng: RngStream = RngStream(0),
+    rng: RngStream,
 ) -> np.ndarray:
     """Joint samples of weight-times-unit products from a two-layer net.
 
@@ -403,7 +403,7 @@ def _pd_lemma_result(n_units: int, n: int, rng: RngStream) -> CheckResult:
     return CheckResult(f"pd_lemma_products_{n_units}", "pd", passed, fields)
 
 
-def closure_suite(suite: str, seed: int, n: int, window: FitWindow = FitWindow()):
+def closure_suite(suite: str, seed: int, n: int, window: FitWindow):
     """Run the canned checks of ``suite`` (one of SUITES); yields CheckResults in report order.
 
     Check k draws from child stream k of ``seed`` in every suite; PD checks
@@ -451,6 +451,6 @@ def closure_suite(suite: str, seed: int, n: int, window: FitWindow = FitWindow()
             loose = loose and abs(rep.tail_estimate.beta_hat - 2.0) <= tol
         yield _truncation_result("truncation_gaussian_m10", rep, loose)
         tail = EmpiricalTail.from_samples(sample_iid(DistributionSpec.student_t(3.0), n, base.child(18)))
-        holds = {f"beta_{b}": check_subweibull_envelope(tail, 1.0 / b, window).holds for b in (0.5, 1.0, 2.0)}
+        holds = {f"beta_{b}": check_subweibull_envelope(tail, 1.0 / b, window) for b in (0.5, 1.0, 2.0)}
         fields = {"envelope_holds": holds, "expected_fail_of_envelopes": True}
         yield CheckResult("student_t_weibull_envelopes", "negative", not any(holds.values()), fields)

@@ -35,29 +35,11 @@ class DegenerateTailError(GwtLabError):
 
 
 class NumericalOverflowError(GwtLabError):
-    """A forward pass produced a non-finite value.
-
-    Attributes
-    ----------
-    layer : int
-        1-based index of the layer where the overflow appeared.
-    replicate : int or None
-        Monte Carlo replicate index, when known.
-    """
-
-    def __init__(self, message, layer, replicate=None):
-        super().__init__(message)
-        self.layer = layer
-        self.replicate = replicate
+    """A forward pass produced a non-finite value; the message names the 1-based layer."""
 
 
 class OverflowAbortError(GwtLabError):
     """Too many Monte Carlo replicates overflowed; the run was aborted."""
-
-    def __init__(self, message, count, n_samples):
-        super().__init__(message)
-        self.count = count
-        self.n_samples = n_samples
 
 
 class ConfigError(GwtLabError, ValueError):

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 from scipy import special, stats
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .rng import RngStream
 
 # tail-class kinds
@@ -36,18 +36,6 @@ POWER_TAIL = "power_tail"
 BOUNDED = "bounded"
 _KINDS_WITH_BETA = frozenset({WT_REAL, GWT_NONNEG})
 _KINDS = frozenset({WT_REAL, GWT_NONNEG, POWER_TAIL, BOUNDED})
-
-FAMILIES = frozenset(
-    {
-        "gaussian",
-        "laplace",
-        "weibull",
-        "generalized_gaussian",
-        "oscillating_gwt",
-        "student_t",
-        "point_mass",
-    }
-)
 
 # parameters each family requires (all but point_mass strictly positive)
 _FAMILY_PARAMS = {
@@ -59,6 +47,7 @@ _FAMILY_PARAMS = {
     "student_t": ("dof", "scale"),
     "point_mass": ("value",),
 }
+FAMILIES = frozenset(_FAMILY_PARAMS)
 
 OSCILLATING_MIN_SHAPE = 2.0
 _INVERSION_TOL = 1e-12
@@ -212,18 +201,6 @@ def _symmetric_draws(gen: np.random.Generator, family: str, beta, scale: float, 
     magnitude = scale * gen.gamma(1.0 / beta, 1.0, size) ** (1.0 / beta)
     sign = np.where(gen.random(size) < 0.5, -1.0, 1.0)
     return sign * magnitude
-
-
-def symmetrize(samples: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Attach an independent fair sign to each nonnegative sample."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size and np.nanmin(samples) < 0:
-        raise DomainError("symmetrize expects nonnegative samples")
-    if np.isnan(samples).any():
-        raise DomainError("symmetrize expects finite samples")
-    g = rng.generator()
-    sign = np.where(g.random(samples.size) < 0.5, -1.0, 1.0)
-    return sign * samples
 
 
 # -- survival functions ---------------------------------------------------

@@ -46,9 +46,8 @@ from .errors import (
 )
 
 SIDE_RIGHT = "right"
-SIDE_LEFT = "left"
 SIDE_ABSOLUTE = "absolute"
-_SIDES = frozenset({SIDE_RIGHT, SIDE_LEFT, SIDE_ABSOLUTE})
+_SIDES = frozenset({SIDE_RIGHT, SIDE_ABSOLUTE})
 
 # search range of the profiled tail parameter; hitting a bound signals a
 # degenerate (bounded or power-law) tail rather than a Weibull-like one
@@ -89,14 +88,12 @@ class FitWindow:
 class EmpiricalTail:
     """A sorted sample set folded onto the right tail.
 
-    ``side`` records how the raw samples were folded: left tails are
-    analyzed as right tails of ``-X``, absolute tails as right tails of
-    ``|X|``. ``sorted_samples`` holds the folded values, ascending.
+    Right tails are analyzed as they are, absolute tails as right tails
+    of ``|X|``. ``sorted_samples`` holds the folded values, ascending.
     """
 
     sorted_samples: np.ndarray
     n: int
-    side: str
 
     @classmethod
     def from_samples(cls, samples, side: str = SIDE_RIGHT) -> "EmpiricalTail":
@@ -107,11 +104,9 @@ class EmpiricalTail:
             raise DomainError("empty sample set")
         if not np.isfinite(x).all():
             raise DomainError("samples must be finite")
-        if side == SIDE_LEFT:
-            x = -x
-        elif side == SIDE_ABSOLUTE:
+        if side == SIDE_ABSOLUTE:
             x = np.abs(x)
-        return cls(sorted_samples=np.sort(x), n=int(x.size), side=side)
+        return cls(sorted_samples=np.sort(x), n=int(x.size))
 
 
 @dataclass(frozen=True)
@@ -131,15 +126,6 @@ class TailEstimate:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "x_range": list(self.x_range)}
-
-
-@dataclass(frozen=True)
-class EnvelopeCheck:
-    """Outcome of a survival-envelope verification."""
-
-    holds: bool
-    a: float | None = None
-    b: float | None = None
 
 
 def empirical_survival(tail: EmpiricalTail, x):
@@ -283,19 +269,6 @@ def estimate_with_points(tail: EmpiricalTail, window: FitWindow) -> tuple[TailEs
     return estimate_tail_index(tail, window), loglog_points(tail, window)
 
 
-def fit_loglog_slope(points: np.ndarray) -> tuple[float, float]:
-    """Plain least-squares line through (log x, log(-log S)) points.
-
-    Returns (slope, intercept). This is the raw diagnostic slope; it
-    carries the full slowly-varying bias and is kept for curve re-fits
-    and plots, not as the tail estimator.
-    """
-    lnx, lny = points[:, 0], points[:, 1]
-    a = np.column_stack([lnx, np.ones_like(lnx)])
-    coef, *_ = np.linalg.lstsq(a, lny, rcond=None)
-    return float(coef[0]), float(coef[1])
-
-
 def refit_beta_from_points(points: np.ndarray) -> float:
     """Recompute beta_hat from recorded log-log points.
 
@@ -310,8 +283,8 @@ def refit_beta_from_points(points: np.ndarray) -> float:
 
 def check_subweibull_envelope(
     tail: EmpiricalTail, theta: float, window: FitWindow = FitWindow()
-) -> EnvelopeCheck:
-    """Check for an upper envelope a * exp(-b x**(1/theta)) on the fit grid.
+) -> bool:
+    """Whether an upper envelope a * exp(-b x**(1/theta)) holds on the fit grid.
 
     b and a are fitted by least squares on the envelope form
     ``-log S = b x**(1/theta) - log a``; the envelope holds when the
@@ -327,12 +300,10 @@ def check_subweibull_envelope(
     a_mat = np.column_stack([u, np.ones_like(u)])
     coef, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
     b, neg_ln_a = float(coef[0]), float(coef[1])
-    a = float(np.exp(-neg_ln_a))
     if b <= 0:
-        return EnvelopeCheck(holds=False, a=a, b=b)
+        return False
     fitted = b * u + neg_ln_a
-    holds = bool(np.all(y >= fitted / ENVELOPE_SLACK))
-    return EnvelopeCheck(holds=holds, a=a, b=b)
+    return bool(np.all(y >= fitted / ENVELOPE_SLACK))
 
 
 def check_gwt_envelope(
@@ -341,8 +312,8 @@ def check_gwt_envelope(
     l_lo: float,
     l_hi: float,
     window: FitWindow = FitWindow(),
-) -> EnvelopeCheck:
-    """Check exp(-x**beta l_lo) <= S(x) <= exp(-x**beta l_hi) pointwise.
+) -> bool:
+    """Whether exp(-x**beta l_lo) <= S(x) <= exp(-x**beta l_hi) holds pointwise.
 
     The lower bound uses the larger exponent coefficient, so l_lo >= l_hi
     is required. Comparison happens on -log S with the multiplicative
@@ -358,4 +329,4 @@ def check_gwt_envelope(
     y = np.exp(lny)
     xb = np.exp(beta * lnx)
     ok = np.all(y <= ENVELOPE_SLACK * l_lo * xb) and np.all(y >= l_hi * xb / ENVELOPE_SLACK)
-    return EnvelopeCheck(holds=bool(ok))
+    return bool(ok)

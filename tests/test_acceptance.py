@@ -261,9 +261,9 @@ def test_criterion_08_negative_controls():
         sub = check_subweibull_envelope(t_tail, 1.0 / beta)
         gwt = check_gwt_envelope(t_tail, beta, 2.0, 1.0)
         ok = report(
-            "8", not sub.holds and not gwt.holds,
+            "8", not sub and not gwt,
             f"student-t envelopes at beta={beta}: "
-            f"upper holds={sub.holds}, band holds={gwt.holds} (both must fail)",
+            f"upper holds={sub}, band holds={gwt} (both must fail)",
         )
         if not ok:
             failures.append(f"student-t beta={beta}")
@@ -274,9 +274,9 @@ def test_criterion_09_oscillating_band():
     """Oscillating tail passes its own band and fails shifted ones."""
     x = sample_iid(DistributionSpec.oscillating_gwt(2.0), N_FULL, RngStream(SEED, 8000))
     tail = EmpiricalTail.from_samples(x)
-    own = check_gwt_envelope(tail, 2.0, 2.0, 1.0).holds
-    low = check_gwt_envelope(tail, 1.5, 2.0, 1.0).holds
-    high = check_gwt_envelope(tail, 2.5, 2.0, 1.0).holds
+    own = check_gwt_envelope(tail, 2.0, 2.0, 1.0)
+    low = check_gwt_envelope(tail, 1.5, 2.0, 1.0)
+    high = check_gwt_envelope(tail, 2.5, 2.0, 1.0)
     ok = report(
         "9", own and not low and not high,
         f"band at beta=2 holds={own}; beta=1.5 holds={low}, beta=2.5 holds={high}",

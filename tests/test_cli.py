@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwt_lab import closure_tolerance, refit_beta_from_points
-from gwt_lab.cli import SCHEMA, main
+from gwt_lab.cli import SCHEMA, _read_stdin_samples, main
 
 
 def write_config(tmp_path, name="cfg.json", **cfg):
@@ -329,9 +330,24 @@ class TestEstimateCommand:
         assert summary["label"] == "samples"
 
     def test_stdin_bad_line_number_reported(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("1.0\n2.0\noops\n"))
-        assert main(["estimate", "--out", str(tmp_path / "o")]) == 2
-        assert "line 3" in capsys.readouterr().err
+        # blank lines are skipped but still counted
+        for text, line in (("1.0\n2.0\noops\n", "line 3"), ("1.0\n\n  \n2.0\noops\n", "line 5")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["estimate", "--out", str(tmp_path / "o")]) == 2
+            assert line in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    def test_stdin_reader_keeps_no_float_per_line(self):
+        values = np.random.default_rng(6).standard_normal(200_000)
+        stream = io.StringIO("".join(format(v, ".17g") + "\n" for v in values))
+        tracemalloc.start()
+        try:
+            samples = _read_stdin_samples(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(samples, values)
+        assert peak < 3 * samples.nbytes
 
     def test_stdin_not_utf8(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1.0\n\xff\xfe\n"), encoding="utf-8"))

@@ -7,13 +7,11 @@ from scipy import integrate, optimize
 
 from gwt_lab import (
     DistributionSpec,
-    DomainError,
     ParameterError,
     RngStream,
     TailClass,
     exact_survival,
     sample_iid,
-    symmetrize,
 )
 from gwt_lab.tail_distributions import _invert_oscillating_survival
 
@@ -218,38 +216,3 @@ class TestOscillatingSampler:
         assert np.all(s_hat <= np.exp(-(grid**2)) * 1.1)
         assert np.all(s_hat >= np.exp(-2 * grid**2) / 1.1)
 
-
-class TestSymmetrize:
-    def test_negative_input_rejected(self):
-        with pytest.raises(DomainError):
-            symmetrize(np.array([1.0, -0.5]), RngStream(0))
-
-    def test_deterministic(self):
-        x = np.array([1.0, 2.0, 3.0])
-        a = symmetrize(x, RngStream(9, 4))
-        b = symmetrize(x, RngStream(9, 4))
-        np.testing.assert_array_equal(a, b)
-        assert set(np.abs(a)) == {1.0, 2.0, 3.0}
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=0, max_size=50)
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_absolute_value_recovers_input(self, values):
-        x = np.asarray(values)
-        out = symmetrize(x, RngStream(1, 2))
-        np.testing.assert_array_equal(np.abs(out), x)
-
-    def test_symmetrized_weibull_mean_near_zero(self):
-        x = sample_iid(DistributionSpec.weibull(1.0, 1.0), N_BIG, RngStream(21))
-        out = symmetrize(x, RngStream(22))
-        assert abs(out.mean()) < 0.01
-
-    def test_sign_balance_with_zero_mass(self):
-        n = 200_000
-        x = np.concatenate([np.ones(n // 2), np.zeros(n // 2)])
-        out = symmetrize(x, RngStream(3))
-        p_nonneg = (out >= 0).mean()
-        expected = 0.5 + 0.25  # half + half the zero mass
-        sigma = np.sqrt(0.25 / n)
-        assert abs(p_nonneg - expected) < 3 * sigma + 1e-9
