@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalOverflowError, OverflowAbortError, ParameterError, require_integer
 from .rng import RngStream
-from .tail_distributions import _symmetric_draws
+from .tail_distributions import SYMMETRIC_FAMILIES, _symmetric_draws
 
-PRIOR_FAMILIES = frozenset({"gaussian", "laplace", "generalized_gaussian"})
 SCALE_POLICIES = frozenset({"unit", "inv_sqrt_fan_in"})
 ACTIVATIONS = frozenset({"relu", "identity", "tanh"})
 
@@ -46,8 +45,8 @@ class LayerPrior:
     scale_policy: str = "inv_sqrt_fan_in"
 
     def __post_init__(self):
-        if self.family not in PRIOR_FAMILIES:
-            raise ParameterError(f"prior family must be one of {sorted(PRIOR_FAMILIES)}")
+        if self.family not in SYMMETRIC_FAMILIES:
+            raise ParameterError(f"prior family must be one of {sorted(SYMMETRIC_FAMILIES)}")
         if self.scale_policy not in SCALE_POLICIES:
             raise ParameterError(f"scale_policy must be one of {sorted(SCALE_POLICIES)}")
         if not self.tail_beta_w > 0:
@@ -85,8 +84,8 @@ class NetworkConfig:
             raise ParameterError("need one LayerPrior per layer")
         if self.activation not in ACTIVATIONS:
             raise ParameterError(f"activation must be one of {sorted(ACTIVATIONS)}")
-        if self.n_samples < 0:
-            raise ParameterError("n_samples must be >= 0")
+        if self.n_samples < 1:
+            raise ParameterError("n_samples must be >= 1")
 
     @property
     def depth(self) -> int:
@@ -105,8 +104,8 @@ class UnitTrace:
     g: list[np.ndarray]
     h: list[np.ndarray]
     n_samples: int
-    degenerate_input: bool = False
-    overflow_replicates: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    degenerate_input: bool
+    overflow_replicates: np.ndarray
 
 
 def make_input(input_dim: int, input_seed: int) -> np.ndarray:
@@ -141,9 +140,17 @@ def _activate(name: str, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _forward_with_generator(config: NetworkConfig, input_vec: np.ndarray, gen):
-    """One replicate's forward pass; returns per-layer (g, h) of unit 0."""
-    h = input_vec
+def forward_sample(config: NetworkConfig, input_vec: np.ndarray, rng: RngStream):
+    """One prior draw of all layers' (g, h) values of unit 0.
+
+    All hidden units of each layer are computed; unit 0's values are
+    returned as two arrays of length ``depth``. Raises
+    NumericalOverflowError on a non-finite pre-activation.
+    """
+    h = np.asarray(input_vec, dtype=np.float64)
+    if h.size != config.input_dim:
+        raise ParameterError(f"input has length {h.size}, config expects {config.input_dim}")
+    gen = rng.generator()
     g_out = np.empty(config.depth)
     h_out = np.empty(config.depth)
     for idx, (prior, width) in enumerate(zip(config.layer_priors, config.widths)):
@@ -158,51 +165,34 @@ def _forward_with_generator(config: NetworkConfig, input_vec: np.ndarray, gen):
     return g_out, h_out
 
 
-def forward_sample(config: NetworkConfig, input_vec: np.ndarray, rng: RngStream):
-    """One prior draw of all layers' (g, h) values of unit 0.
+def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Unit 0's (g, h) of replicates start..stop-1 as one (2, depth, stop - start) array.
 
-    All hidden units of each layer are computed; unit 0's values are
-    returned as two arrays of length ``depth``.
+    A replicate that overflows keeps NaN in all its slots; no other
+    replicate can hold a NaN, since forward_sample raises on any
+    non-finite pre-activation.
     """
-    input_vec = np.asarray(input_vec, dtype=np.float64)
-    if input_vec.size != config.input_dim:
-        raise ParameterError(
-            f"input has length {input_vec.size}, config expects {config.input_dim}"
-        )
-    return _forward_with_generator(config, input_vec, rng.generator())
-
-
-def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, start: int, stop: int):
-    depth = config.depth
-    m = stop - start
-    g_block = np.empty((depth, m))
-    h_block = np.empty((depth, m))
-    overflowed = []
-    for j in range(m):
-        i = start + j
-        gen = RngStream(config.seed, i).generator()
-        try:
-            g_row, h_row = _forward_with_generator(config, input_vec, gen)
-        except NumericalOverflowError:
-            g_block[:, j] = np.nan
-            h_block[:, j] = np.nan
-            overflowed.append(i)
-            continue
-        g_block[:, j] = g_row
-        h_block[:, j] = h_row
-    return start, g_block, h_block, overflowed
+    block = np.full((2, config.depth, stop - start), np.nan)
+    # an overflow is caught and recorded below, so numpy's warning for it only adds noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, i in enumerate(range(start, stop)):
+            try:
+                block[:, :, j] = forward_sample(config, input_vec, RngStream(config.seed, i))
+            except NumericalOverflowError:
+                pass
+    return block
 
 
 def _resolve_workers(workers) -> int:
+    """Pool size: ``workers``, else GWT_LAB_THREADS, else 1; capped by GWT_LAB_THREADS and the usable CPUs."""
     env = os.environ.get(WORKERS_ENV_VAR)
     try:
         cap = max(1, int(env)) if env else None
     except ValueError:
         raise ParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    if workers is None:
-        return cap or 1
-    workers = max(1, int(workers))
-    return min(workers, cap) if cap else workers
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    requested = (cap or 1) if workers is None else max(1, int(workers))
+    return min(requested, cap or requested, cpus)
 
 
 def run_prior_monte_carlo(config: NetworkConfig, workers: int | None = None) -> UnitTrace:
@@ -218,43 +208,27 @@ def run_prior_monte_carlo(config: NetworkConfig, workers: int | None = None) -> 
     """
     input_vec = make_input(config.input_dim, config.seed)
     n = config.n_samples
-    depth = config.depth
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(_resolve_workers(workers), cpus)
-    g_layers = [np.empty(n) for _ in range(depth)]
-    h_layers = [np.empty(n) for _ in range(depth)]
-    overflowed: list[int] = []
-
-    chunk = max(1, min(20_000, -(-n // (workers * 4)))) if n else 1
+    workers = _resolve_workers(workers)
+    chunk = min(20_000, -(-n // (workers * 4)))
     ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
     workers = min(workers, len(ranges))
-
-    def consume(result):
-        start, g_block, h_block, over = result
-        stop = start + g_block.shape[1]
-        for l in range(depth):
-            g_layers[l][start:stop] = g_block[l]
-            h_layers[l][start:stop] = h_block[l]
-        overflowed.extend(over)
-
     if workers <= 1:
-        for s, e in ranges:
-            consume(_run_chunk(config, input_vec, s, e))
+        blocks = [_run_chunk(config, input_vec, s, e) for s, e in ranges]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_chunk, config, input_vec, s, e) for s, e in ranges]
-            for fut in futures:
-                consume(fut.result())
-
-    if n and len(overflowed) > OVERFLOW_ABORT_FRACTION * n:
+            blocks = [fut.result() for fut in futures]
+    g, h = np.concatenate(blocks, axis=2)
+    overflowed = np.flatnonzero(np.isnan(g[0]))
+    if overflowed.size > OVERFLOW_ABORT_FRACTION * n:
         raise OverflowAbortError(
-            f"{len(overflowed)} of {n} replicates overflowed "
+            f"{overflowed.size} of {n} replicates overflowed "
             f"(> {OVERFLOW_ABORT_FRACTION:.2%} abort threshold)"
         )
     return UnitTrace(
-        g=g_layers,
-        h=h_layers,
+        g=list(g),
+        h=list(h),
         n_samples=n,
         degenerate_input=not np.any(input_vec),
-        overflow_replicates=np.asarray(sorted(overflowed), dtype=np.int64),
+        overflow_replicates=overflowed,
     )

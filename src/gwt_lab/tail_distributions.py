@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import ParameterError
 from .rng import RngStream
@@ -175,7 +175,7 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.float64)
     family = spec.family
-    if family in ("gaussian", "laplace", "generalized_gaussian"):
+    if family in SYMMETRIC_FAMILIES:
         return _symmetric_draws(g, family, p.get("shape"), p.get("sigma", p.get("scale")), n)
     if family == "weibull":
         return p["scale"] * g.weibull(p["shape"], n)
@@ -187,6 +187,10 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
         return p["scale"] * g.standard_t(p["dof"], n)
     # point_mass
     return np.full(n, p["value"], dtype=np.float64)
+
+
+# the families _symmetric_draws samples; network weight priors must be one of them
+SYMMETRIC_FAMILIES = frozenset({"gaussian", "laplace", "generalized_gaussian"})
 
 
 def _symmetric_draws(gen: np.random.Generator, family: str, beta, scale: float, size) -> np.ndarray:
@@ -233,7 +237,7 @@ def exact_survival(spec: DistributionSpec, x):
         res[pos] = np.exp(-_oscillating_exponent(p["shape"], flat[pos]))
         out = res.reshape(x.shape)
     elif family == "student_t":
-        out = stats.t.sf(x / p["scale"], p["dof"])
+        out = special.stdtr(p["dof"], -x / p["scale"])
     else:  # point_mass
         out = np.where(x <= p["value"], 1.0, 0.0)
     return out if out.ndim else float(out)

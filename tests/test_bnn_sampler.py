@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo prior-propagation engine."""
 
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,19 @@ from gwt_lab import bnn_sampler
 
 GAUSS = LayerPrior("gaussian", 2.0)
 GAUSS_UNIT = LayerPrior("gaussian", 2.0, scale_policy="unit")
+HEAVY_UNIT = LayerPrior("generalized_gaussian", 0.05, scale_policy="unit")
+
+
+def heavy_identity_net(depth, n_samples):
+    """A net of width-1 identity layers whose replicates often overflow."""
+    return NetworkConfig(
+        input_dim=4,
+        widths=(1,) * depth,
+        layer_priors=(HEAVY_UNIT,) * depth,
+        activation="identity",
+        n_samples=n_samples,
+        seed=1,
+    )
 
 
 def small_config(**overrides):
@@ -69,6 +83,10 @@ class TestNetworkConfig:
     def test_bad_activation(self):
         with pytest.raises(ParameterError):
             small_config(activation="gelu")
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ParameterError):
+            small_config(n_samples=0)
 
 
 class TestPredictedTailParameter:
@@ -297,6 +315,28 @@ class TestRunPriorMonteCarlo:
         )
         with pytest.raises(OverflowAbortError):
             run_prior_monte_carlo(cfg)
+
+    def test_overflow_replicates_are_the_nan_slots(self, monkeypatch):
+        """Overflowed replicates are read from their NaN slots, the same at any worker count."""
+        monkeypatch.setattr(bnn_sampler, "OVERFLOW_ABORT_FRACTION", 1.0)
+        cfg = heavy_identity_net(12, 200)
+        solo = run_prior_monte_carlo(cfg, workers=1)
+        duo = run_prior_monte_carlo(cfg, workers=2)
+        assert solo.overflow_replicates.size == 129
+        np.testing.assert_array_equal(solo.overflow_replicates, duo.overflow_replicates)
+        for a in solo.g + solo.h + duo.g + duo.h:
+            np.testing.assert_array_equal(np.flatnonzero(np.isnan(a)), solo.overflow_replicates)
+        first = int(np.flatnonzero(~np.isnan(solo.g[0]))[0])
+        g, h = forward_sample(cfg, make_input(cfg.input_dim, cfg.seed), RngStream(cfg.seed, first))
+        for l in range(cfg.depth):
+            assert solo.g[l][first] == g[l]
+            assert solo.h[l][first] == h[l]
+
+    def test_handled_overflow_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowAbortError):
+                run_prior_monte_carlo(heavy_identity_net(40, 50), workers=1)
 
     def test_tanh_post_activations_are_degenerate(self):
         cfg = small_config(n_samples=10**5, widths=(4, 4), activation="tanh")
