@@ -153,15 +153,17 @@ def forward_sample(config: NetworkConfig, input_vec: np.ndarray, rng: RngStream)
     gen = rng.generator()
     g_out = np.empty(config.depth)
     h_out = np.empty(config.depth)
-    for idx, (prior, width) in enumerate(zip(config.layer_priors, config.widths)):
-        scale = _weight_scale(prior.scale_policy, h.size)
-        w = _symmetric_draws(gen, prior.family, prior.tail_beta_w, scale, (h.size, width))
-        g = h @ w
-        if not np.isfinite(g).all():
-            raise NumericalOverflowError(f"non-finite pre-activation at layer {idx + 1}")
-        h = _activate(config.activation, g)
-        g_out[idx] = g[0]
-        h_out[idx] = h[0]
+    # an overflow is raised below, so numpy's warning for it only adds noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (prior, width) in enumerate(zip(config.layer_priors, config.widths)):
+            scale = _weight_scale(prior.scale_policy, h.size)
+            w = _symmetric_draws(gen, prior.family, prior.tail_beta_w, scale, (h.size, width))
+            g = h @ w
+            if not np.isfinite(g).all():
+                raise NumericalOverflowError(f"non-finite pre-activation at layer {idx + 1}")
+            h = _activate(config.activation, g)
+            g_out[idx] = g[0]
+            h_out[idx] = h[0]
     return g_out, h_out
 
 
@@ -173,13 +175,11 @@ def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, start: int, stop: i
     non-finite pre-activation.
     """
     block = np.full((2, config.depth, stop - start), np.nan)
-    # an overflow is caught and recorded below, so numpy's warning for it only adds noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, i in enumerate(range(start, stop)):
-            try:
-                block[:, :, j] = forward_sample(config, input_vec, RngStream(config.seed, i))
-            except NumericalOverflowError:
-                pass
+    for j, i in enumerate(range(start, stop)):
+        try:
+            block[:, :, j] = forward_sample(config, input_vec, RngStream(config.seed, i))
+        except NumericalOverflowError:
+            pass
     return block
 
 

@@ -280,11 +280,12 @@ def negative_control_truncation(
     pd = estimate_pd_constant(
         np.column_stack([x, y]), z_quantiles=feasible_z_quantiles(n)
     )
+    max_abs_sum = float(np.abs(z).max())
     return TruncationReport(
         m=m,
         bound=2.0 * m,
-        max_abs_sum=float(np.abs(z).max()),
-        within_bound=bool(np.abs(z).max() <= 2.0 * m),
+        max_abs_sum=max_abs_sum,
+        within_bound=bool(max_abs_sum <= 2.0 * m),
         survival_beyond_bound=beyond,
         tail_outcome=outcome,
         tail_estimate=estimate,
@@ -304,23 +305,19 @@ def weight_unit_product_samples(
     dependent nonnegative hidden units (they share the first layer) and
     w_i independent symmetric weights, the construction behind the
     positive-dependence lower bound 1 / 2**(N-1).
+
+    The net has N(0, 1) weights, so each layer is drawn through its exact
+    collapse: given h, ``h @ W`` is N(0, ||h||^2 I), and a row needs
+    4 + 2 n_units normals instead of one per weight. The units of a row
+    stay dependent through the shared ||h1||.
     """
     if n_units < 2:
         raise ParameterError("need at least two product coordinates")
     gen = rng.generator()
-    x = rng.child(1).generator().standard_normal(PRODUCT_NET_INPUT_DIM)
-    out = np.empty((n, n_units))
-    chunk = 100_000
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        m = stop - start
-        w1 = gen.standard_normal((m, PRODUCT_NET_INPUT_DIM, PRODUCT_NET_HIDDEN_WIDTH))
-        h1 = np.maximum(np.einsum("d,mdk->mk", x, w1), 0.0)
-        w2 = gen.standard_normal((m, PRODUCT_NET_HIDDEN_WIDTH, n_units))
-        h2 = np.maximum(np.einsum("mk,mku->mu", h1, w2), 0.0)
-        w3 = gen.standard_normal((m, n_units))
-        out[start:stop] = w3 * h2
-    return out
+    x_norm = np.linalg.norm(rng.child(1).generator().standard_normal(PRODUCT_NET_INPUT_DIM))
+    h1 = np.maximum(x_norm * gen.standard_normal((n, PRODUCT_NET_HIDDEN_WIDTH)), 0.0)
+    h2 = np.maximum(np.linalg.norm(h1, axis=1, keepdims=True) * gen.standard_normal((n, n_units)), 0.0)
+    return gen.standard_normal((n, n_units)) * h2
 
 
 # ----------------------------- canned suite -----------------------------

@@ -198,6 +198,12 @@ class TestForwardSample:
             forward_sample(cfg, make_input(4, 1), RngStream(1, 0))
         assert 1 <= int(str(err.value).rsplit(" ", 1)[1]) <= 40
 
+    def test_overflow_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflowError):
+                forward_sample(heavy_identity_net(40, 1), make_input(4, 1), RngStream(1, 0))
+
 
 class TestRunPriorMonteCarlo:
     def test_single_replicate(self):

@@ -468,7 +468,7 @@ GOLDEN_BUNDLES = {
         {"command": "closure", "seed": 7, "suite": "all", "n_samples": 100000},
         1,
         {
-            "summary.json": "f1dfda72b946524f13b18bebe9f4b6f5cf1d197db9425d0a78a602bc377b3814",
+            "summary.json": "1a1bc6f3fd248e65576df5e2fc7fc921d0b94303b387a6f74df53d647f1d64cf",
             "curves.csv": "7650665ebbe0c9cc2a0e7497aef6538e867e9807e4886329b5661c1a8df55d93",
         },
     ),

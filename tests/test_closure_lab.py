@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from gwt_lab import (
     DistributionSpec,
@@ -18,6 +19,7 @@ from gwt_lab import (
     negative_control_truncation,
     weight_unit_product_samples,
 )
+from gwt_lab.closure_lab import PRODUCT_NET_HIDDEN_WIDTH, PRODUCT_NET_INPUT_DIM, feasible_z_quantiles
 
 N = 2 * 10**5
 N_WIDE = 10**6  # gaussian-family checks at beta = 2 need the full-scale window
@@ -231,7 +233,48 @@ class TestTruncationControl:
             negative_control_truncation(DistributionSpec.gaussian(), 0.0, N, RngStream(53))
 
 
+def weight_net_products(n, n_units, x, gen):
+    """Reference sampler: the two-layer net on input ``x`` with every N(0, 1) weight drawn."""
+    w1 = gen.standard_normal((n, PRODUCT_NET_INPUT_DIM, PRODUCT_NET_HIDDEN_WIDTH))
+    h1 = np.maximum(np.einsum("d,mdk->mk", x, w1), 0.0)
+    w2 = gen.standard_normal((n, PRODUCT_NET_HIDDEN_WIDTH, n_units))
+    h2 = np.maximum(np.einsum("mk,mku->mu", h1, w2), 0.0)
+    return gen.standard_normal((n, n_units)) * h2
+
+
 class TestWeightUnitProducts:
+    @pytest.mark.parametrize("n_units", [2, 3, 4])
+    def test_collapse_has_the_weight_net_law(self, n_units):
+        """The collapsed sampler draws the joint law of the full weight net.
+
+        The reference net gets the sampler's fixed input (child stream 1)
+        and draws its weights from an unrelated stream.
+        """
+        rng = RngStream(70)
+        got = weight_unit_product_samples(N, n_units, rng)
+        x = rng.child(1).generator().standard_normal(PRODUCT_NET_INPUT_DIM)
+        ref = weight_net_products(N, n_units, x, RngStream(71).generator())
+        for a, b in zip(got.T, ref.T):
+            assert stats.ks_2samp(a, b).pvalue > 1e-3
+        assert stats.ks_2samp(np.linalg.norm(got, axis=1), np.linalg.norm(ref, axis=1)).pvalue > 1e-3
+        # an exact zero needs h2 = 0: P = 1/16 + (15/16)(1/2) = 17/32 per column
+        zero_got, zero_ref = (got == 0).mean(axis=0), (ref == 0).mean(axis=0)
+        se = np.sqrt((17 / 32) * (15 / 32) / N)
+        assert np.all(np.abs(zero_got - zero_ref) <= 4 * np.sqrt(2) * se)
+        assert np.all(np.abs(zero_got - 17 / 32) <= 4 * se)
+        zq = feasible_z_quantiles(N)
+        for side in ("right", "left"):
+            p_got = estimate_pd_constant(got, side=side, z_quantiles=zq).per_z_conditional
+            p_ref = estimate_pd_constant(ref, side=side, z_quantiles=zq).per_z_conditional
+            cells = N * (1 - np.asarray(zq))
+            p = (p_got + p_ref) / 2
+            assert np.all(np.abs(p_got - p_ref) <= 4 * np.sqrt(2 * p * (1 - p) / cells))
+
+    def test_same_stream_same_bits(self):
+        a = weight_unit_product_samples(10**4, 3, RngStream(72))
+        b = weight_unit_product_samples(10**4, 3, RngStream(72))
+        assert a.tobytes() == b.tobytes()
+
     def test_shape_and_zero_mass(self):
         joint = weight_unit_product_samples(10**5, 3, RngStream(61))
         assert joint.shape == (10**5, 3)

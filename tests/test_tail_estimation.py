@@ -21,6 +21,7 @@ from gwt_lab import (
     refit_beta_from_points,
     sample_iid,
 )
+from gwt_lab.tail_estimation import _sorted_quantiles
 
 
 def exact_weibull(beta, n, seed):
@@ -112,6 +113,24 @@ class TestLoglogPoints:
         pts = loglog_points(tail, FitWindow())
         assert pts.ndim == 2 and pts.shape[1] == 2
         assert np.all(np.diff(pts[:, 0]) > 0)
+
+    def test_window_quantiles_bitwise_equal_numpy(self):
+        """The grid's window ends are np.quantile's, read from the sorted samples without a copy."""
+        gen = np.random.default_rng(11)
+        for trial in range(3000):
+            n = int(gen.integers(1, 3000))
+            if trial % 3 == 0:
+                s = np.sort(gen.integers(-5, 6, n).astype(np.float64))  # ties and zeros
+            else:
+                s = np.sort(gen.standard_cauchy(n) * 10.0 ** gen.integers(-3, 4))
+            qs = np.sort(gen.random(2))
+            if trial % 5 == 0:
+                qs = np.array([0.95, 0.9999])
+            elif trial % 7 == 0:
+                qs = np.array([qs[0], 1.0 - 1e-12])
+            got = _sorted_quantiles(s, (qs[0], qs[1]))
+            want = np.quantile(s, [qs[0], qs[1]])
+            assert got.tobytes() == want.tobytes(), (trial, n, qs)
 
 
 class TestEstimateTailIndex:
