@@ -4,12 +4,14 @@ Weights are drawn fresh per replicate from symmetric priors and a fixed
 input is propagated through the network; the pre- and post-activations
 of unit 0 are recorded per layer. Replicate ``i`` always draws
 from stream id ``i`` of the configured seed, so results are bitwise
-identical for any worker count.
+identical for any worker count. Chunks of replicates run on a thread
+pool in the calling process; numpy's bulk draws and matmuls release the
+GIL, so threads share the work.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,24 +202,19 @@ def run_prior_monte_carlo(config: NetworkConfig, workers: int | None = None) -> 
 
     The fixed input is ``make_input(config.input_dim, config.seed)``.
     Replicate ``i`` uses stream id ``i`` of ``config.seed``, so the trace
-    is identical for any worker count. ``workers`` defaults to the
-    GWT_LAB_THREADS environment variable (1 if unset), which also caps an
-    explicit value. The pool never exceeds the CPUs this process may run
-    on or the number of chunks: a fork pool starts all its processes at
-    once. Aborts when more than 0.01 percent of replicates overflow.
+    is identical for any worker count. ``workers`` threads run the
+    replicate chunks; it defaults to the GWT_LAB_THREADS environment
+    variable (1 if unset), which also caps an explicit value, and never
+    exceeds the CPUs this process may run on. Aborts when more than 0.01
+    percent of replicates overflow.
     """
     input_vec = make_input(config.input_dim, config.seed)
     n = config.n_samples
     workers = _resolve_workers(workers)
     chunk = min(20_000, -(-n // (workers * 4)))
-    ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    workers = min(workers, len(ranges))
-    if workers <= 1:
-        blocks = [_run_chunk(config, input_vec, s, e) for s, e in ranges]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, config, input_vec, s, e) for s, e in ranges]
-            blocks = [fut.result() for fut in futures]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_chunk, config, input_vec, s, min(s + chunk, n)) for s in range(0, n, chunk)]
+        blocks = [fut.result() for fut in futures]
     g, h = np.concatenate(blocks, axis=2)
     overflowed = np.flatnonzero(np.isnan(g[0]))
     if overflowed.size > OVERFLOW_ABORT_FRACTION * n:

@@ -272,8 +272,6 @@ def cmd_estimate_tail(cfg: dict, out_dir: str, seed: int, n_samples: int, stdin=
     else:
         samples = _read_stdin_samples(stdin if stdin is not None else sys.stdin)
         label = "samples"
-    if samples.size == 0:
-        raise InsufficientDataError("no samples supplied")
     est, pts = estimate_with_points(EmpiricalTail.from_samples(samples, side="right"), window)
     summary = {
         "command": "estimate",

@@ -43,8 +43,8 @@ RULE_SUM_MIN = "sum_min"
 RULE_PRODUCT_HARMONIC = "product_harmonic"
 RULE_POWER = "power"
 
-DEFAULT_Z_QUANTILES = (0.5, 0.9, 0.99, 0.999, 0.9999)
-DEFAULT_MIN_CELL_COUNT = 100
+# the PD z-grid sits at quantiles 1 - 1/d of the conditioning coordinate
+_Z_TAIL_DIVISORS = (2, 10, 100, 1000, 10000)
 _PD_MIN_SAMPLES = 10**5
 
 # two-layer ReLU net behind weight_unit_product_samples
@@ -57,16 +57,6 @@ RELATIVE_TOLERANCE = 0.15
 
 def closure_tolerance(predicted_beta: float, stderr: float) -> float:
     return max(RELATIVE_TOLERANCE * predicted_beta, 2.0 * stderr)
-
-
-def feasible_z_quantiles(n: int, min_cell_count: int = DEFAULT_MIN_CELL_COUNT) -> tuple[float, ...]:
-    """Drop default z-grid quantiles whose conditioning cell would be under-filled."""
-    kept = tuple(q for q in DEFAULT_Z_QUANTILES if n * (1.0 - q) >= min_cell_count)
-    if not kept:
-        raise InsufficientDataError(
-            f"no usable z quantile at n={n} with min_cell_count={min_cell_count}"
-        )
-    return kept
 
 
 @dataclass(frozen=True)
@@ -123,13 +113,15 @@ class TruncationReport:
     points: np.ndarray | None = None
 
 
-def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, z_quantiles=DEFAULT_Z_QUANTILES) -> PDEstimate:
+def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, min_cell_count: int = 100) -> PDEstimate:
     """Empirical PD constant of a joint sample matrix, conditioned on its last column.
 
-    For each z at the requested quantiles of the conditioning coordinate,
-    computes P(all other coordinates >= 0 | X_cond >= z) on the right
-    side (both inequalities flipped on the left). Every conditioning cell
-    must contain at least ``DEFAULT_MIN_CELL_COUNT`` events.
+    For each z on the grid, computes P(all other coordinates >= 0 |
+    X_cond >= z) on the right side (both inequalities flipped on the
+    left). The grid keeps each quantile q = 1 - 1/d of 0.5, 0.9, 0.99,
+    0.999 and 0.9999 of the conditioning coordinate whose cell expects
+    n / d >= ``min_cell_count`` events, compared in integers so that
+    n = 1e6 keeps 0.9999 at 100; every cell must then hold that many.
     """
     x = np.asarray(joint_samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
@@ -139,9 +131,9 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, z_quantiles=DEFA
         raise InsufficientDataError(f"PD estimation needs n >= {_PD_MIN_SAMPLES}, got {n}")
     if side not in (SIDE_RIGHT, "left"):
         raise ParameterError("side must be 'right' or 'left'")
-    qs = np.asarray(z_quantiles, dtype=np.float64)
-    if np.any(qs < 0.5) or np.any(qs > 0.9999):
-        raise ParameterError("z_quantiles must lie within [0.5, 0.9999]")
+    qs = np.array([1.0 - 1.0 / d for d in _Z_TAIL_DIVISORS if n >= min_cell_count * d])
+    if qs.size == 0:
+        raise InsufficientDataError(f"no usable z quantile at n={n} with min_cell_count={min_cell_count}")
     cond, others = x[:, -1], x[:, :-1]
     if side == SIDE_RIGHT:
         z_grid = np.quantile(cond, qs)
@@ -153,10 +145,8 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, z_quantiles=DEFA
     for k, z in enumerate(z_grid):
         cell = cond >= z if side == SIDE_RIGHT else cond <= z
         count = int(cell.sum())
-        if count < DEFAULT_MIN_CELL_COUNT:
-            raise InsufficientDataError(
-                f"conditioning cell at z={z:g} has {count} events, need {DEFAULT_MIN_CELL_COUNT}"
-            )
+        if count < min_cell_count:
+            raise InsufficientDataError(f"conditioning cell at z={z:g} has {count} events, need {min_cell_count}")
         per_z[k] = all_ok[cell].mean()
     return PDEstimate(c_hat=float(per_z.min()), z_grid=z_grid, per_z_conditional=per_z, side=side)
 
@@ -277,9 +267,7 @@ def negative_control_truncation(
         outcome = "degenerate"
     except InsufficientDataError:
         outcome = "insufficient_data"
-    pd = estimate_pd_constant(
-        np.column_stack([x, y]), z_quantiles=feasible_z_quantiles(n)
-    )
+    pd = estimate_pd_constant(np.column_stack([x, y]))
     max_abs_sum = float(np.abs(z).max())
     return TruncationReport(
         m=m,
@@ -377,13 +365,13 @@ def _pd_independent_result(name: str, n_coords: int, expected: float, n: int, rn
     joint = rng.generator().standard_normal((n, n_coords))
     # c_hat is a minimum over noisy cells; the +-0.05 verdict band needs
     # >= 1000 conditioning events per cell to be binomially meaningful
-    pd = estimate_pd_constant(joint, z_quantiles=feasible_z_quantiles(n, min_cell_count=1000))
+    pd = estimate_pd_constant(joint, min_cell_count=1000)
     return CheckResult(name, "pd", abs(pd.c_hat - expected) <= 0.05, {"pd": _pd_dict(pd)})
 
 
 def _pd_counter_monotone_result(n: int, rng: RngStream) -> CheckResult:
     x = rng.generator().standard_normal(n)
-    pd = estimate_pd_constant(np.column_stack([x, -x]), z_quantiles=feasible_z_quantiles(n))
+    pd = estimate_pd_constant(np.column_stack([x, -x]))
     # PD is expected to fail here; the control passes when c_hat is tiny
     fields = {"pd": _pd_dict(pd), "expected_fail_of_pd": True}
     return CheckResult("pd_counter_monotone_control", "pd", pd.c_hat <= 0.05, fields)
@@ -391,9 +379,8 @@ def _pd_counter_monotone_result(n: int, rng: RngStream) -> CheckResult:
 
 def _pd_lemma_result(n_units: int, n: int, rng: RngStream) -> CheckResult:
     joint = weight_unit_product_samples(n, n_units, rng)
-    zq = feasible_z_quantiles(n)
-    right = estimate_pd_constant(joint, side="right", z_quantiles=zq)
-    left = estimate_pd_constant(joint, side="left", z_quantiles=zq)
+    right = estimate_pd_constant(joint, side="right")
+    left = estimate_pd_constant(joint, side="left")
     floor = 1.0 / 2 ** (n_units - 1) - 0.05
     passed = right.c_hat >= floor and left.c_hat >= floor
     fields = {"pd": _pd_dict(right), "pd_left": _pd_dict(left)}

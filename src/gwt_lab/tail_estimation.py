@@ -93,7 +93,10 @@ class EmpiricalTail:
     """
 
     sorted_samples: np.ndarray
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.sorted_samples.size
 
     @classmethod
     def from_samples(cls, samples, side: str = SIDE_RIGHT) -> "EmpiricalTail":
@@ -106,7 +109,7 @@ class EmpiricalTail:
             raise DomainError("samples must be finite")
         if side == SIDE_ABSOLUTE:
             x = np.abs(x)
-        return cls(sorted_samples=np.sort(x), n=int(x.size))
+        return cls(np.sort(x))
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,7 @@ class TestRunPriorMonteCarlo:
             np.testing.assert_array_equal(capped.g[l], default.g[l])
 
     def test_huge_thread_count_capped_by_cpus(self, monkeypatch):
-        """A pool never asks for more processes than CPUs; the stub runs chunks inline, starting none."""
+        """A pool never asks for more threads than CPUs; the stub runs chunks inline, starting none."""
         requested = []
 
         class InlinePool:
@@ -262,16 +262,31 @@ class TestRunPriorMonteCarlo:
                 result = fn(*args)
                 return SimpleNamespace(result=lambda: result)
 
-        monkeypatch.setattr(bnn_sampler, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(bnn_sampler, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setenv("GWT_LAB_THREADS", "1000000")
         cfg = small_config(n_samples=500)
         capped = run_prior_monte_carlo(cfg)
         solo = run_prior_monte_carlo(cfg, workers=1)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert all(1 < m <= cpus for m in requested)
-        assert len(requested) == (cpus > 1)
+        assert len(requested) == 2
+        assert all(1 <= m <= cpus for m in requested)
+        assert requested[1] == 1
         for a, b in zip(capped.g + capped.h, solo.g + solo.h):
             np.testing.assert_array_equal(a, b)
+
+    def test_every_stream_drawn_in_process(self, monkeypatch):
+        """At two workers each replicate stream and the input stream is drawn once, in this process."""
+        drawn = []
+        generator = RngStream.generator
+
+        def recording_generator(stream):
+            drawn.append(stream.stream_id)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", recording_generator)
+        cfg = small_config(n_samples=400)
+        run_prior_monte_carlo(cfg, workers=2)
+        assert sorted(drawn) == list(range(cfg.n_samples)) + [bnn_sampler._INPUT_STREAM_ID]
 
     def test_zero_input_flagged_degenerate(self, monkeypatch):
         cfg = small_config(n_samples=10)

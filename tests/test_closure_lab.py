@@ -19,12 +19,13 @@ from gwt_lab import (
     negative_control_truncation,
     weight_unit_product_samples,
 )
-from gwt_lab.closure_lab import PRODUCT_NET_HIDDEN_WIDTH, PRODUCT_NET_INPUT_DIM, feasible_z_quantiles
+from gwt_lab.closure_lab import PRODUCT_NET_HIDDEN_WIDTH, PRODUCT_NET_INPUT_DIM, closure_suite
 
 N = 2 * 10**5
 N_WIDE = 10**6  # gaussian-family checks at beta = 2 need the full-scale window
 WINDOW = FitWindow()
-SHALLOW_Z = (0.5, 0.9, 0.99)  # deep cells need n = 1e6; tests run smaller
+SHALLOW_Z = (0.5, 0.9, 0.99)  # the PD z-grid at N with min_cell_count=1000
+DEFAULT_Z = SHALLOW_Z + (0.999,)  # the PD z-grid at N with the default 100 events per cell
 
 
 class TestTolerance:
@@ -38,27 +39,28 @@ class TestTolerance:
 class TestEstimatePdConstant:
     def test_independent_pair_is_half(self):
         joint = RngStream(1).generator().standard_normal((N, 2))
-        pd = estimate_pd_constant(joint, z_quantiles=SHALLOW_Z)
+        pd = estimate_pd_constant(joint, min_cell_count=1000)
         assert abs(pd.c_hat - 0.5) <= 0.05
 
     def test_independent_triple_is_quarter(self):
         joint = RngStream(2).generator().standard_normal((N, 3))
-        pd = estimate_pd_constant(joint, z_quantiles=SHALLOW_Z)
+        pd = estimate_pd_constant(joint, min_cell_count=1000)
         assert abs(pd.c_hat - 0.25) <= 0.05
 
     def test_left_side_mirror(self):
         joint = RngStream(3).generator().standard_normal((N, 2))
-        pd = estimate_pd_constant(joint, side="left", z_quantiles=SHALLOW_Z)
+        pd = estimate_pd_constant(joint, side="left", min_cell_count=1000)
         assert abs(pd.c_hat - 0.5) <= 0.05
 
     def test_counter_monotone_pair_fails_pd(self):
         x = RngStream(4).generator().standard_normal(N)
-        pd = estimate_pd_constant(np.column_stack([x, -x]), z_quantiles=SHALLOW_Z)
+        pd = estimate_pd_constant(np.column_stack([x, -x]), min_cell_count=1000)
         assert pd.c_hat <= 0.05
 
     def test_independent_conditionals_flat_in_z(self):
         joint = RngStream(5).generator().standard_normal((N, 2))
-        pd = estimate_pd_constant(joint, z_quantiles=SHALLOW_Z)
+        pd = estimate_pd_constant(joint, min_cell_count=1000)
+        assert pd.per_z_conditional.size == len(SHALLOW_Z)
         for q, p in zip(SHALLOW_Z, pd.per_z_conditional):
             cell = N * (1 - q)
             assert abs(p - 0.5) <= 3 * np.sqrt(0.25 / cell)
@@ -68,23 +70,29 @@ class TestEstimatePdConstant:
         with pytest.raises(InsufficientDataError):
             estimate_pd_constant(joint)
 
-    def test_sparse_cell_rejected(self):
-        # the 0.9999 cell of n = 1e5 has ~10 events, below the default 100
-        joint = RngStream(6).generator().standard_normal((10**5, 2))
-        with pytest.raises(InsufficientDataError):
-            estimate_pd_constant(joint, z_quantiles=(0.5, 0.9999))
+    def test_million_rows_keep_the_deepest_quantile(self):
+        """At n = 1e6 the 0.9999 cell holds 100 events, though 1e6 * (1 - 0.9999) < 100 in floating point."""
+        grids = {}
+        for result in closure_suite("pd", 11, 10**6, WINDOW):
+            for key in ("pd", "pd_left"):
+                if key in result.fields:
+                    grids[(result.name, key)] = len(result.fields[key]["z_grid"])
+        # the independent checks ask for 1000 events per cell, which 0.9999 would hold at n = 1e7
+        assert grids.pop(("pd_independent_pair", "pd")) == 4
+        assert grids.pop(("pd_independent_triple", "pd")) == 4
+        assert len(grids) == 7 and set(grids.values()) == {5}
 
-    def test_quantiles_validated(self):
+    def test_unreachable_cell_count_rejected(self):
         joint = RngStream(7).generator().standard_normal((N, 2))
-        with pytest.raises(ParameterError):
-            estimate_pd_constant(joint, z_quantiles=(0.2,))
+        with pytest.raises(InsufficientDataError):
+            estimate_pd_constant(joint, min_cell_count=N)
 
     def test_lemma_products_respect_bound(self):
         for n_units in (2, 3, 4):
             joint = weight_unit_product_samples(N, n_units, RngStream(8 + n_units))
             floor = 1.0 / 2 ** (n_units - 1) - 0.05
             for side in ("right", "left"):
-                pd = estimate_pd_constant(joint, side=side, z_quantiles=SHALLOW_Z)
+                pd = estimate_pd_constant(joint, side=side, min_cell_count=1000)
                 assert pd.c_hat >= floor
 
 
@@ -262,11 +270,11 @@ class TestWeightUnitProducts:
         se = np.sqrt((17 / 32) * (15 / 32) / N)
         assert np.all(np.abs(zero_got - zero_ref) <= 4 * np.sqrt(2) * se)
         assert np.all(np.abs(zero_got - 17 / 32) <= 4 * se)
-        zq = feasible_z_quantiles(N)
         for side in ("right", "left"):
-            p_got = estimate_pd_constant(got, side=side, z_quantiles=zq).per_z_conditional
-            p_ref = estimate_pd_constant(ref, side=side, z_quantiles=zq).per_z_conditional
-            cells = N * (1 - np.asarray(zq))
+            p_got = estimate_pd_constant(got, side=side).per_z_conditional
+            p_ref = estimate_pd_constant(ref, side=side).per_z_conditional
+            assert p_got.size == p_ref.size == len(DEFAULT_Z)
+            cells = N * (1 - np.asarray(DEFAULT_Z))
             p = (p_got + p_ref) / 2
             assert np.all(np.abs(p_got - p_ref) <= 4 * np.sqrt(2 * p * (1 - p) / cells))
 
