@@ -246,14 +246,20 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int) -> in
 
 def _read_stdin_samples(stream) -> np.ndarray:
     def values():
+        # float() ignores surrounding whitespace itself, so most lines need no
+        # strip(); strip() also removes the separators U+001C..U+001F, which
+        # float() refuses, so a failed line is parsed once more after stripping
         for lineno, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text:
-                continue
             try:
-                value = float(text)
+                value = float(line)
             except ValueError:
-                raise ConfigError(f"unparseable sample on line {lineno}: {text!r}")
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise ConfigError(f"unparseable sample on line {lineno}: {text!r}")
             yield value
 
     # fromiter fills a float64 buffer directly, with no Python float per line kept alive

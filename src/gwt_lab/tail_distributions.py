@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
 from .errors import ParameterError
 from .rng import RngStream
@@ -215,6 +214,9 @@ def exact_survival(spec: DistributionSpec, x):
 
     Accepts a scalar or an array; returns the matching shape.
     """
+    # imported here, its one use, so that no command pays scipy's import time
+    from scipy import special
+
     x = np.asarray(x, dtype=np.float64)
     p = spec.params
     family = spec.family

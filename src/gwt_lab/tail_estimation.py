@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     DegenerateTailError,
@@ -199,6 +198,98 @@ def _profile_objective(lnb, z, y, sw):
     return float(r @ r), coef
 
 
+def _bounded_minimum(f, a, b, xatol):
+    """Minimize a scalar ``f`` on ``[a, b]`` by Brent's bounded search; return the argmin.
+
+    A step-for-step port of ``_minimize_scalar_bounded`` from scipy.optimize
+    (the algorithm behind ``fminbound``, BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc. and 2003 onwards SciPy Developers), so it returns the
+    bits ``minimize_scalar(f, bounds=(a, b), method="bounded",
+    options={"xatol": xatol})`` returns: golden-section steps, parabolic
+    steps where the parabola is acceptable, and at most 500 evaluations.
+    Kept in-module so that no command has to import scipy.
+    """
+    maxfun = 500
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # parabolic fit through the three best points
+        if np.abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # accept the parabola only if its step shrinks and stays inside [a, b]
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = f(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+
+    return xf
+
+
 def _fit_exponent_curve(lnx, lny):
     """Profile fit of y = c0 x**beta + c2 to the log-log points.
 
@@ -210,14 +301,14 @@ def _fit_exponent_curve(lnx, lny):
     # inverse pointwise variance of y = -log(S_hat), up to the 1/n factor
     sw = np.sqrt(surv / (1.0 - surv))
     z = lnx - lnx.mean()
-    res = optimize.minimize_scalar(
+    lnb = _bounded_minimum(
         lambda lnb: _profile_objective(lnb, z, y, sw)[0],
-        bounds=(np.log(BETA_MIN), np.log(BETA_MAX)),
-        method="bounded",
-        options={"xatol": 1e-12},
+        np.log(BETA_MIN),
+        np.log(BETA_MAX),
+        xatol=1e-12,
     )
-    beta = float(np.exp(res.x))
-    _, coef = _profile_objective(res.x, z, y, sw)
+    beta = float(np.exp(lnb))
+    _, coef = _profile_objective(lnb, z, y, sw)
     c0_centered = float(coef[0])
     if c0_centered <= 0:
         raise DegenerateTailError("fitted tail exponent is not increasing")

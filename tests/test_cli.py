@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -330,12 +332,25 @@ class TestEstimateCommand:
         assert summary["label"] == "samples"
 
     def test_stdin_bad_line_number_reported(self, tmp_path, monkeypatch, capsys):
-        # blank lines are skipped but still counted
-        for text, line in (("1.0\n2.0\noops\n", "line 3"), ("1.0\n\n  \n2.0\noops\n", "line 5")):
+        # blank and whitespace-only lines are skipped but still counted
+        for text, line in (
+            ("1.0\n2.0\noops\n", "line 3"),
+            ("1.0\n\n  \n2.0\noops\n", "line 5"),
+            ("1.0\n1.0 2.0\n", "line 2"),
+            ("1.0\n\t\r\n\u00a0\n\u2003\u2003\n\x1c\n1_0x\n", "line 6"),
+        ):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             assert main(["estimate", "--out", str(tmp_path / "o")]) == 2
             assert line in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+    def test_stdin_whitespace_around_values(self):
+        """Values wrapped in any whitespace str.strip() removes parse to float(value)'s bits."""
+        values = np.random.default_rng(8).standard_normal(6)
+        pads = ["\t", "\r", "\u00a0", "\u2003", " \t\r", "\x1c"]  # U+001C: strip() removes it, float() does not
+        text = "".join(f"{pad}{float(v)!r}{pad}\n{pad}\n" for pad, v in zip(pads, values))
+        samples = _read_stdin_samples(io.StringIO(text))
+        assert samples.tobytes() == values.tobytes()
 
     def test_stdin_reader_keeps_no_float_per_line(self):
         values = np.random.default_rng(6).standard_normal(200_000)
@@ -511,12 +526,46 @@ class TestGoldenBundles:
     def test_fixed_seed_bundle_digests(self, tmp_path, monkeypatch, command):
         """A refactor that leaves results unchanged leaves these bundles byte-identical.
 
-        The digests were taken with numpy 2.4.6 and scipy 1.17.1 on x86-64 Linux; another
-        numpy or scipy release may draw or compute different bits, and then they need
-        re-recording from a commit known to be correct.
+        The digests were taken with numpy 2.4.6 on x86-64 Linux. The commands compute
+        with numpy alone, so another numpy release may draw or compute different bits,
+        and then they need re-recording from a commit known to be correct.
         """
         cfg, status, digests = GOLDEN_BUNDLES[command]
         monkeypatch.setenv("GWT_LAB_THREADS", "2")
         out = tmp_path / "o"
         assert main([command, "--config", write_config(tmp_path, **cfg), "--out", str(out)]) == status
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """Importing the CLI and running each command loads no scipy module.
+
+    scipy costs most of a command's start-up time and no command needs it;
+    it stays a dependency only for ``exact_survival``.
+    """
+    configs = {
+        "estimate": write_config(
+            tmp_path, "estimate.json", command="estimate", seed=3, n_samples=50000,
+            distribution={"family": "weibull", "params": {"shape": 1.0, "scale": 1.0}},
+        ),
+        "bnn": bnn_config(tmp_path),
+        "closure": write_config(tmp_path, "closure.json", command="closure", seed=2, suite="sum", n_samples=200000),
+    }
+    script = (
+        "import json, sys\n"
+        "import gwt_lab.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "seen = {'import': scipy_modules()}\n"
+        "for command, path in json.loads(sys.argv[1]).items():\n"
+        "    status = gwt_lab.cli.main([command, '--config', path, '--out', path + '.out'])\n"
+        "    seen[command] = [status, scipy_modules()]\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(configs)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"import": [], "estimate": [0, []], "bnn": [0, []], "closure": [0, []]}

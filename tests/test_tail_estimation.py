@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
 from gwt_lab import (
     DegenerateTailError,
@@ -21,7 +22,13 @@ from gwt_lab import (
     refit_beta_from_points,
     sample_iid,
 )
-from gwt_lab.tail_estimation import _sorted_quantiles
+from gwt_lab.tail_estimation import (
+    BETA_MAX,
+    BETA_MIN,
+    _bounded_minimum,
+    _profile_objective,
+    _sorted_quantiles,
+)
 
 
 def exact_weibull(beta, n, seed):
@@ -244,3 +251,69 @@ class TestGwtEnvelope:
         tail = EmpiricalTail.from_samples(exact_weibull(2.0, 10**4, 1))
         with pytest.raises(ParameterError):
             check_gwt_envelope(tail, beta=2.0, l_lo=1.0, l_hi=2.0)
+
+
+def _random_profile_objective(gen):
+    """The profile objective of a random log-log grid, built as _fit_exponent_curve builds it.
+
+    The grid's true beta spans 0.02..40, past both search bounds, so some
+    minima sit on a bound and others inside.
+    """
+    k = int(gen.integers(50, 200))
+    lnx = np.sort(gen.uniform(-1.0, 3.0, k))
+    beta = np.exp(gen.uniform(np.log(0.02), np.log(40.0)))
+    y = np.exp(gen.normal(0.0, 2.0)) * np.exp(np.minimum(beta * (lnx - lnx.mean()), 50.0))
+    y = y + gen.uniform(-0.5, 2.0) * y.min() + 1e-3
+    y = y * np.exp(gen.normal(0.0, 0.05, k))
+    surv = np.exp(-y)
+    sw = np.sqrt(surv / (1.0 - surv))
+    z = lnx - lnx.mean()
+    return lambda lnb: _profile_objective(lnb, z, y, sw)[0]
+
+
+def test_bounded_minimum_matches_scipy_bitwise():
+    """The in-module Brent search evaluates at scipy's points and returns scipy's bits.
+
+    Both searches log every abscissa they evaluate, so a changed step shows
+    as a different evaluation sequence even when the argmin survives it.
+    """
+    lo, hi = np.log(BETA_MIN), np.log(BETA_MAX)
+    gen = np.random.default_rng(20)
+    cases = [(_random_profile_objective(gen), lo, hi, 1e-12) for _ in range(300)]
+    cases += [
+        (lambda t: t, lo, hi, 1e-12),  # minimum at log(BETA_MIN)
+        (lambda t: -t, lo, hi, 1e-12),  # minimum at log(BETA_MAX)
+        (lambda t: 0.0, lo, hi, 1e-12),  # flat
+        (lambda t: float(t > 0.3), lo, hi, 1e-12),  # a step: ties on both sides
+        (lambda t: np.sin(5.0 * t) + 0.1 * t, lo, hi, 1e-12),  # several local minima
+        (abs, -1.0, 2.0, 0.0),  # never converges: stops at 500 evaluations
+        (lambda t: (t + 30.0 - 1e-10) ** 2, -30.0, 30.0, 1e-12),  # a parabola lands by a bound
+        # just wide enough to take one step: b - a is 3.244 tolerances, the loop needs 3.236
+        (lambda t: t * t, 1.0, 1.0 + 3.244 * np.sqrt(2.2e-16), 0.0),
+    ]
+    # smooth objectives on intervals off zero, some wholly negative, some too
+    # narrow to search: the loop's entry test and first step depend on a and b
+    for _ in range(200):
+        a = gen.uniform(-20.0, 20.0)
+        b = a + 10.0 ** gen.uniform(-9.0, 1.5)
+        m = a + (b - a) * gen.uniform(-0.2, 1.2)
+        cases.append((lambda t, m=m: (t - m) ** 2 + 0.1 * np.cos(7.0 * (t - m)), a, b, 10.0 ** gen.uniform(-12, -6)))
+    evaluations = []
+    for i, (f, a, b, xatol) in enumerate(cases):
+        seen = {"port": [], "scipy": []}
+
+        def logged(name):
+            def g(t):
+                seen[name].append(float(t))
+                return f(t)
+
+            return g
+
+        got = _bounded_minimum(logged("port"), a, b, xatol)
+        want = optimize.minimize_scalar(
+            logged("scipy"), bounds=(a, b), method="bounded", options={"xatol": xatol}
+        ).x
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), i
+        assert np.array(seen["port"]).tobytes() == np.array(seen["scipy"]).tobytes(), i
+        evaluations.append(len(seen["port"]))
+    assert max(evaluations) == 500  # the evaluation cap is reached, never passed
