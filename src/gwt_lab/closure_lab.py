@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateTailError,
+    DomainError,
     InsufficientDataError,
     ParameterError,
 )
@@ -34,6 +35,7 @@ from .tail_estimation import (
     EmpiricalTail,
     FitWindow,
     TailEstimate,
+    _sorted_quantiles,
     check_subweibull_envelope,
     empirical_survival,
     estimate_with_points,
@@ -50,6 +52,8 @@ _PD_MIN_SAMPLES = 10**5
 # two-layer ReLU net behind weight_unit_product_samples
 PRODUCT_NET_INPUT_DIM = 16
 PRODUCT_NET_HIDDEN_WIDTH = 4
+# rows per block of its draws: the bits do not depend on it, only the memory does
+_PRODUCT_ROW_BLOCK = 2**14
 
 # relative band plus noise floor: slowly-varying bias scales with beta
 RELATIVE_TOLERANCE = 0.15
@@ -66,13 +70,15 @@ class PDEstimate:
     ``per_z_conditional[k]`` is the conditional probability that all
     non-conditioning coordinates fall on the required side of zero given
     the conditioning coordinate exceeds (right) or falls below (left)
-    ``z_grid[k]``; ``c_hat`` is the grid minimum.
+    ``z_grid[k]``; ``c_hat`` is the grid minimum. ``cell_events[k]`` is
+    the number of rows in that conditioning cell.
     """
 
     c_hat: float
     z_grid: np.ndarray
     per_z_conditional: np.ndarray
     side: str
+    cell_events: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,13 @@ class TruncationReport:
     points: np.ndarray | None = None
 
 
+def _cell_counts(ascending: np.ndarray, z_grid: np.ndarray, right: bool) -> np.ndarray:
+    """How many values lie at or above (right) or at or below (left) each z."""
+    if right:
+        return ascending.size - np.searchsorted(ascending, z_grid, side="left")
+    return np.searchsorted(ascending, z_grid, side="right")
+
+
 def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, min_cell_count: int = 100) -> PDEstimate:
     """Empirical PD constant of a joint sample matrix, conditioned on its last column.
 
@@ -122,6 +135,7 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, min_cell_count: 
     0.999 and 0.9999 of the conditioning coordinate whose cell expects
     n / d >= ``min_cell_count`` events, compared in integers so that
     n = 1e6 keeps 0.9999 at 100; every cell must then hold that many.
+    The conditioning column must be finite.
     """
     x = np.asarray(joint_samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
@@ -134,21 +148,28 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, min_cell_count: 
     qs = np.array([1.0 - 1.0 / d for d in _Z_TAIL_DIVISORS if n >= min_cell_count * d])
     if qs.size == 0:
         raise InsufficientDataError(f"no usable z quantile at n={n} with min_cell_count={min_cell_count}")
-    cond, others = x[:, -1], x[:, :-1]
-    if side == SIDE_RIGHT:
-        z_grid = np.quantile(cond, qs)
-        all_ok = (others >= 0).all(axis=1)
-    else:
-        z_grid = np.quantile(cond, 1.0 - qs)
-        all_ok = (others <= 0).all(axis=1)
-    per_z = np.empty(z_grid.size)
-    for k, z in enumerate(z_grid):
-        cell = cond >= z if side == SIDE_RIGHT else cond <= z
-        count = int(cell.sum())
+    cond = x[:, -1]
+    right = side == SIDE_RIGHT
+    on_side = np.greater_equal if right else np.less_equal
+    all_ok = on_side(x[:, 0], 0)
+    for j in range(1, x.shape[1] - 1):
+        all_ok &= on_side(x[:, j], 0)
+    # cells are counted by binary search on sorted copies: all rows, then the rows that pass
+    ranked = np.sort(cond)
+    if not np.isfinite(ranked[[0, -1]]).all():  # a sort puts every NaN and inf at an end
+        raise DomainError("the conditioning column must be finite")
+    # + 0.0 writes the zero of a point mass as 0.0, whichever signed zero the sort put there
+    z_grid = _sorted_quantiles(ranked, qs if right else 1.0 - qs) + 0.0
+    counts = _cell_counts(ranked, z_grid, right)
+    del ranked
+    passing = cond[all_ok]
+    passing.sort()
+    hits = _cell_counts(passing, z_grid, right)
+    for z, count in zip(z_grid, counts):
         if count < min_cell_count:
             raise InsufficientDataError(f"conditioning cell at z={z:g} has {count} events, need {min_cell_count}")
-        per_z[k] = all_ok[cell].mean()
-    return PDEstimate(c_hat=float(per_z.min()), z_grid=z_grid, per_z_conditional=per_z, side=side)
+    per_z = hits / counts
+    return PDEstimate(c_hat=float(per_z.min()), z_grid=z_grid, per_z_conditional=per_z, side=side, cell_events=counts)
 
 
 def judge_tail(rule: str, predicted: float, samples, side: str, window: FitWindow) -> ClosureReport:
@@ -255,10 +276,9 @@ def negative_control_truncation(
     if m <= 0:
         raise ParameterError("m must be > 0")
     x = sample_iid(spec, n, rng.child(0))
-    inside = np.abs(x) <= m
-    y = np.where(inside, x, -x)
-    z = x + y
-    tail = EmpiricalTail.from_samples(z, side=SIDE_RIGHT)
+    y = np.where(np.abs(x) <= m, x, -x)
+    pd = estimate_pd_constant(np.column_stack([x, y]))
+    tail = EmpiricalTail.from_samples(x + y, side=SIDE_RIGHT)
     beyond = float(empirical_survival(tail, 2.0 * m * (1.0 + 1e-12)))
     outcome, estimate, points = "estimate", None, None
     try:
@@ -267,8 +287,7 @@ def negative_control_truncation(
         outcome = "degenerate"
     except InsufficientDataError:
         outcome = "insufficient_data"
-    pd = estimate_pd_constant(np.column_stack([x, y]))
-    max_abs_sum = float(np.abs(z).max())
+    max_abs_sum = float(np.abs(tail.sorted_samples[[0, -1]]).max())
     return TruncationReport(
         m=m,
         bound=2.0 * m,
@@ -297,15 +316,29 @@ def weight_unit_product_samples(
     The net has N(0, 1) weights, so each layer is drawn through its exact
     collapse: given h, ``h @ W`` is N(0, ||h||^2 I), and a row needs
     4 + 2 n_units normals instead of one per weight. The units of a row
-    stay dependent through the shared ||h1||.
+    stay dependent through the shared ||h1||. The first and last layers
+    are drawn in row blocks, in stream order, so the result keeps the bits
+    of one-shot draws while the working memory stays near the output's.
     """
     if n_units < 2:
         raise ParameterError("need at least two product coordinates")
     gen = rng.generator()
     x_norm = np.linalg.norm(rng.child(1).generator().standard_normal(PRODUCT_NET_INPUT_DIM))
-    h1 = np.maximum(x_norm * gen.standard_normal((n, PRODUCT_NET_HIDDEN_WIDTH)), 0.0)
-    h2 = np.maximum(np.linalg.norm(h1, axis=1, keepdims=True) * gen.standard_normal((n, n_units)), 0.0)
-    return gen.standard_normal((n, n_units)) * h2
+    block = _PRODUCT_ROW_BLOCK
+    h1_norm = np.empty((n, 1))
+    for lo in range(0, n, block):
+        h1 = gen.standard_normal((min(block, n - lo), PRODUCT_NET_HIDDEN_WIDTH))
+        h1 *= x_norm
+        np.maximum(h1, 0.0, out=h1)
+        h1_norm[lo : lo + block] = np.linalg.norm(h1, axis=1, keepdims=True)
+    out = gen.standard_normal(out=np.empty((n, n_units)))
+    out *= h1_norm
+    del h1_norm
+    np.maximum(out, 0.0, out=out)
+    for lo in range(0, n, block):
+        rows = out[lo : lo + block]
+        rows *= gen.standard_normal(rows.shape)
+    return out
 
 
 # ----------------------------- canned suite -----------------------------
@@ -348,6 +381,7 @@ def _pd_dict(pd: PDEstimate) -> dict:
         "side": pd.side,
         "z_grid": [float(z) for z in pd.z_grid],
         "per_z_conditional": [float(p) for p in pd.per_z_conditional],
+        "cell_events": [int(c) for c in pd.cell_events],
     }
 
 

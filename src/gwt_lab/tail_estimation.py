@@ -108,6 +108,8 @@ class EmpiricalTail:
             raise DomainError("samples must be finite")
         if side == SIDE_ABSOLUTE:
             x = np.abs(x)
+            x.sort()  # the folded copy is ours to sort in place
+            return cls(x)
         return cls(np.sort(x))
 
 

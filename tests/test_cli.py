@@ -483,7 +483,7 @@ GOLDEN_BUNDLES = {
         {"command": "closure", "seed": 7, "suite": "all", "n_samples": 100000},
         1,
         {
-            "summary.json": "1a1bc6f3fd248e65576df5e2fc7fc921d0b94303b387a6f74df53d647f1d64cf",
+            "summary.json": "21e5e1b79184f5c6dc68d0b8b71ac41f6c34296db6781defb7fd58d42941cd7d",
             "curves.csv": "7650665ebbe0c9cc2a0e7497aef6538e867e9807e4886329b5661c1a8df55d93",
         },
     ),

@@ -1,5 +1,8 @@
 """Tests for closure rules, PD estimation and the truncation control."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from scipy import stats
 
 from gwt_lab import (
     DistributionSpec,
+    DomainError,
     FitWindow,
     InsufficientDataError,
     ParameterError,
@@ -19,6 +23,7 @@ from gwt_lab import (
     negative_control_truncation,
     weight_unit_product_samples,
 )
+from gwt_lab import closure_lab
 from gwt_lab.closure_lab import PRODUCT_NET_HIDDEN_WIDTH, PRODUCT_NET_INPUT_DIM, closure_suite
 
 N = 2 * 10**5
@@ -76,11 +81,14 @@ class TestEstimatePdConstant:
         for result in closure_suite("pd", 11, 10**6, WINDOW):
             for key in ("pd", "pd_left"):
                 if key in result.fields:
-                    grids[(result.name, key)] = len(result.fields[key]["z_grid"])
+                    record = result.fields[key]
+                    assert len(record["cell_events"]) == len(record["z_grid"])
+                    grids[(result.name, key)] = record["cell_events"]
         # the independent checks ask for 1000 events per cell, which 0.9999 would hold at n = 1e7
-        assert grids.pop(("pd_independent_pair", "pd")) == 4
-        assert grids.pop(("pd_independent_triple", "pd")) == 4
-        assert len(grids) == 7 and set(grids.values()) == {5}
+        assert grids.pop(("pd_independent_pair", "pd"))[-1] == 1000
+        assert grids.pop(("pd_independent_triple", "pd"))[-1] == 1000
+        assert len(grids) == 7 and {len(events) for events in grids.values()} == {5}
+        assert {events[-1] for events in grids.values()} == {100}
 
     def test_unreachable_cell_count_rejected(self):
         joint = RngStream(7).generator().standard_normal((N, 2))
@@ -292,3 +300,140 @@ class TestWeightUnitProducts:
     def test_needs_two_units(self):
         with pytest.raises(ParameterError):
             weight_unit_product_samples(10**5, 1, RngStream(62))
+
+
+def pd_reference(joint_samples, side="right", min_cell_count=100):
+    """The quantile-and-mask PD estimate that ``estimate_pd_constant`` replaced: its bitwise reference.
+
+    Returns ``(c_hat, z_grid, per_z_conditional, cell_events)``.
+    """
+    x = np.asarray(joint_samples, dtype=np.float64)
+    n = x.shape[0]
+    if n < 10**5:
+        raise InsufficientDataError(f"PD estimation needs n >= {10**5}, got {n}")
+    qs = np.array([1.0 - 1.0 / d for d in (2, 10, 100, 1000, 10000) if n >= min_cell_count * d])
+    if qs.size == 0:
+        raise InsufficientDataError(f"no usable z quantile at n={n} with min_cell_count={min_cell_count}")
+    cond, others = x[:, -1], x[:, :-1]
+    if side == "right":
+        z_grid = np.quantile(cond, qs)
+        all_ok = (others >= 0).all(axis=1)
+    else:
+        z_grid = np.quantile(cond, 1.0 - qs)
+        all_ok = (others <= 0).all(axis=1)
+    per_z, counts = np.empty(z_grid.size), []
+    for k, z in enumerate(z_grid):
+        cell = cond >= z if side == "right" else cond <= z
+        count = int(cell.sum())
+        if count < min_cell_count:
+            raise InsufficientDataError(f"conditioning cell at z={z:g} has {count} events, need {min_cell_count}")
+        per_z[k] = all_ok[cell].mean()
+        counts.append(count)
+    return float(per_z.min()), z_grid, per_z, counts
+
+
+def tied_joint(n, n_coords, seed):
+    """Normals rounded to one decimal, a third of them signed zeros, and a few NaNs off the last column."""
+    gen = RngStream(seed).generator()
+    x = np.round(gen.standard_normal((n, n_coords)), 1)
+    zero = gen.random((n, n_coords)) < 0.35
+    x[zero] = np.copysign(0.0, gen.standard_normal(int(zero.sum())))
+    x[gen.integers(0, n, 50), gen.integers(0, n_coords - 1, 50)] = np.nan
+    return x
+
+
+class TestPdMatchesReference:
+    @pytest.mark.parametrize("n", [123_457, 10**6 + 3])
+    @pytest.mark.parametrize("n_coords", [2, 3, 4, 5])
+    def test_same_bits_as_the_quantile_reference(self, n_coords, n):
+        samples = {
+            "tied": tied_joint(n, n_coords, 80 + n_coords),
+            "lemma": weight_unit_product_samples(n, n_coords, RngStream(90 + n_coords)),
+        }
+        for (kind, joint), side, min_cell_count in itertools.product(samples.items(), ("right", "left"), (100, 1000)):
+            got = estimate_pd_constant(joint, side=side, min_cell_count=min_cell_count)
+            c_hat, z_grid, per_z, counts = pd_reference(joint, side, min_cell_count)
+            where = (kind, side, min_cell_count)
+            assert np.float64(got.c_hat).tobytes() == np.float64(c_hat).tobytes(), where
+            assert got.per_z_conditional.tobytes() == per_z.tobytes(), where
+            assert np.array_equal(got.z_grid, z_grid), where
+            assert not np.signbit(got.z_grid[got.z_grid == 0]).any(), where
+            assert got.cell_events.tolist() == counts, where
+            if kind == "lemma":
+                # more than half the products are a signed zero, so the median is one
+                assert got.z_grid[0] == 0, where
+
+    @pytest.mark.parametrize(
+        "n, min_cell_count", [(99_999, 100), (123_457, 10**5), (123_457, 123_458)]
+    )
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_same_insufficient_data_messages(self, n, min_cell_count, side):
+        joint = tied_joint(n, 3, 7)
+        with pytest.raises(InsufficientDataError) as want:
+            pd_reference(joint, side, min_cell_count)
+        with pytest.raises(InsufficientDataError) as got:
+            estimate_pd_constant(joint, side=side, min_cell_count=min_cell_count)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_conditioning_value_rejected(self, bad):
+        joint = RngStream(9).generator().standard_normal((N, 3))
+        joint[17, -1] = bad
+        with pytest.raises(DomainError):
+            estimate_pd_constant(joint)
+
+
+def products_one_shot(n, n_units, rng):
+    """``weight_unit_product_samples`` with every layer drawn in one call: its bitwise reference."""
+    gen = rng.generator()
+    x_norm = np.linalg.norm(rng.child(1).generator().standard_normal(PRODUCT_NET_INPUT_DIM))
+    h1 = np.maximum(x_norm * gen.standard_normal((n, PRODUCT_NET_HIDDEN_WIDTH)), 0.0)
+    h2 = np.maximum(np.linalg.norm(h1, axis=1, keepdims=True) * gen.standard_normal((n, n_units)), 0.0)
+    return gen.standard_normal((n, n_units)) * h2
+
+
+def traced_peak_bytes(fn):
+    """``fn()`` and the peak bytes ``tracemalloc`` saw above the memory in use when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestProductRowBlocks:
+    @pytest.mark.parametrize("block", [None, 1000, 7])
+    @pytest.mark.parametrize("n_units", [2, 3, 4])
+    def test_blocks_keep_the_one_shot_bits(self, monkeypatch, n_units, block):
+        if block is not None:
+            monkeypatch.setattr(closure_lab, "_PRODUCT_ROW_BLOCK", block)
+        n = 3 * closure_lab._PRODUCT_ROW_BLOCK + 17
+        got = weight_unit_product_samples(n, n_units, RngStream(73, n_units))
+        want = products_one_shot(n, n_units, RngStream(73, n_units))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_units", [2, 4])
+    def test_working_memory_near_the_output(self, n_units):
+        out, peak = traced_peak_bytes(lambda: weight_unit_product_samples(2 * 10**5, n_units, RngStream(74)))
+        assert peak < 2.5 * out.nbytes
+
+    def test_closure_checks_hold_few_sample_arrays(self):
+        """No check of the full suite holds more than 8 float64 arrays of its sample size at once."""
+        n = 2 * 10**5
+        checks = closure_suite("all", 7, n, WINDOW)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            while True:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                result = next(checks, None)
+                if result is None:
+                    break
+                peaks[result.name] = (tracemalloc.get_traced_memory()[1] - base) / (8 * n)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 18
+        assert max(peaks.values()) < 8, peaks
