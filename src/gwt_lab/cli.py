@@ -12,6 +12,7 @@ refused allocation, 3 overflow abort, 4 insufficient data or empty input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -244,27 +245,56 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int) -> in
     return 0
 
 
-def _read_stdin_samples(stream) -> np.ndarray:
-    def values():
-        # float() ignores surrounding whitespace itself, so most lines need no
-        # strip(); strip() also removes the separators U+001C..U+001F, which
-        # float() refuses, so a failed line is parsed once more after stripping
-        for lineno, line in enumerate(stream, start=1):
-            try:
-                value = float(line)
-            except ValueError:
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ConfigError(f"unparseable sample on line {lineno}: {text!r}")
-            yield value
+# characters of stdin lines read and converted per batch
+_STDIN_BATCH_CHARS = 1 << 16
+_QUOTE_CHARS = 80
 
-    # fromiter fills a float64 buffer directly, with no Python float per line kept alive
+
+def _quote(text: str) -> str:
+    """repr() of ``text``, cut to its first _QUOTE_CHARS characters when longer."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
+def _parse_lines(lines: list, first_lineno: int) -> list:
+    """float() of each line, by the per-line rules; ``first_lineno`` numbers ``lines[0]``.
+
+    float() ignores surrounding whitespace itself, so most lines need no
+    strip(); strip() also removes the separators U+001C..U+001F, which
+    float() refuses, so a failed line is parsed once more after stripping.
+    Blank lines are skipped but still counted.
+    """
+    values = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        try:
+            values.append(float(line))
+        except ValueError:
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ConfigError(f"unparseable sample on line {lineno}: {_quote(text)}") from None
+    return values
+
+
+def _read_stdin_samples(stream) -> np.ndarray:
+    def batches():
+        # a clean batch is converted by map() in C, with no Python frame per line;
+        # a batch with any line float() refuses is parsed again by the per-line rules
+        lineno = 1
+        while lines := stream.readlines(_STDIN_BATCH_CHARS):
+            try:
+                yield list(map(float, lines))
+            except ValueError:
+                yield _parse_lines(lines, lineno)
+            lineno += len(lines)
+
+    # fromiter fills a float64 buffer directly; one batch of Python floats is alive at a time
     try:
-        return np.fromiter(values(), dtype=np.float64)
+        return np.fromiter(itertools.chain.from_iterable(batches()), dtype=np.float64)
     except UnicodeDecodeError as exc:  # raised by the stream itself, a chunk at a time
         raise ConfigError(f"stdin is not valid UTF-8: {exc}") from None
 

@@ -276,9 +276,16 @@ def negative_control_truncation(
     if m <= 0:
         raise ParameterError("m must be > 0")
     x = sample_iid(spec, n, rng.child(0))
-    y = np.where(np.abs(x) <= m, x, -x)
-    pd = estimate_pd_constant(np.column_stack([x, y]))
-    tail = EmpiricalTail.from_samples(x + y, side=SIDE_RIGHT)
+    flip = np.abs(x) > m
+    # X and Y share one (n, 2) matrix, with Y = X negated where |X| > m
+    xy = np.repeat(x[:, None], 2, axis=1)
+    del x
+    np.negative(xy[:, 1], out=xy[:, 1], where=flip)
+    del flip
+    pd = estimate_pd_constant(xy)
+    sums = xy[:, 0] + xy[:, 1]
+    del xy  # before the fold sorts its copy of the sums
+    tail = EmpiricalTail.from_samples(sums, side=SIDE_RIGHT)
     beyond = float(empirical_survival(tail, 2.0 * m * (1.0 + 1e-12)))
     outcome, estimate, points = "estimate", None, None
     try:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwt_lab import closure_tolerance, refit_beta_from_points
+from gwt_lab import cli, closure_tolerance, refit_beta_from_points
 from gwt_lab.cli import SCHEMA, _read_stdin_samples, main
 
 
@@ -405,6 +405,149 @@ class TestEstimateCommand:
             distribution={"family": "gaussian", "params": {"sigma": -1.0}},
         )
         assert main(["estimate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def per_line_reference(stream) -> np.ndarray:
+    """The stdin rules one line at a time: float(), retried after strip(), blank lines skipped."""
+    values = []
+    for line in stream:
+        try:
+            values.append(float(line))
+        except ValueError:
+            if line.strip():
+                values.append(float(line.strip()))
+    return np.array(values, dtype=np.float64)
+
+
+class BatchSpy(io.StringIO):
+    """A StringIO that keeps every batch of lines the reader asked for."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.batches = []
+
+    def readlines(self, hint=-1):
+        lines = super().readlines(hint)
+        self.batches.append(lines)
+        return lines
+
+
+@pytest.fixture
+def batch_chars(request, monkeypatch):
+    """The reader's batch size in characters: patched to ``request.param``, or as shipped for None."""
+    if request.param is not None:
+        monkeypatch.setattr(cli, "_STDIN_BATCH_CHARS", request.param)
+    return cli._STDIN_BATCH_CHARS
+
+
+class TestStdinReader:
+    @pytest.mark.parametrize("batch_chars", [7, None], indirect=True)
+    @pytest.mark.parametrize("with_blanks", [False, True])
+    def test_same_bits_as_per_line_float(self, batch_chars, with_blanks):
+        """Every value is float() of its line, for every form float() accepts."""
+        rng = np.random.default_rng(12)
+        forms = [
+            *(repr(float(v)) for v in rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)),
+            "-0.0", "0.0", "1e-320", "-4.9e-324", "1_000.5", "+3.5", "\t+3.5\t", "\t1_000.5 ",
+            "nan", "-nan", "inf", "-Infinity", " 1E+308 ", "10",
+        ]
+        lines = [f"{forms[i]}\n" for i in rng.integers(0, len(forms), 200_000)]
+        if with_blanks:  # blank, whitespace-only and U+001C-padded lines take the per-line rules
+            for i in rng.choice(len(lines), 2_000, replace=False):
+                lines[i] = ["\n", " \t\n", f"\x1c{lines[i].strip()}\x1c\n"][i % 3]
+        text = "".join(lines)
+        got = _read_stdin_samples(io.StringIO(text))
+        want = per_line_reference(io.StringIO(text))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert np.isnan(got).any() and np.isinf(got).any()
+
+    @pytest.mark.parametrize("batch_chars", [7, None], indirect=True)
+    def test_bad_line_in_third_batch_named_by_absolute_number(self, batch_chars):
+        lines = ["1.0\n"] * (3 * batch_chars)
+        probe = io.StringIO("".join(lines))
+        bad = len(probe.readlines(batch_chars)) + len(probe.readlines(batch_chars)) + 2  # third batch, second line
+        lines[bad - 1] = "1.0.0\n"
+        stream = BatchSpy("".join(lines))
+        with pytest.raises(cli.ConfigError, match=f"on line {bad}: '1.0.0'$"):
+            _read_stdin_samples(stream)
+        assert len(stream.batches) == 3
+
+    @pytest.mark.parametrize("batch_chars", [7, None], indirect=True)
+    def test_blank_lines_on_batch_edges(self, batch_chars):
+        # a value line of exactly batch_chars characters fills a batch, and readlines() adds
+        # the next line before it stops, so some batch edges have blank lines on both sides
+        text = "".join(f"{i}.5".rjust(batch_chars - 1) + "\n\n\n \t\n" for i in range(12))
+        stream = BatchSpy(text)
+        got = _read_stdin_samples(stream)
+        assert got.tolist() == [i + 0.5 for i in range(12)]
+        batches = stream.batches[:-1]  # the last call finds the end of the stream
+        assert any(not left[-1].strip() and not right[0].strip() for left, right in zip(batches, batches[1:]))
+        with pytest.raises(cli.ConfigError, match="on line 49: 'x'$"):
+            _read_stdin_samples(io.StringIO(text + "x\n"))
+
+    @pytest.mark.parametrize("batch_chars", [7, None], indirect=True)
+    def test_line_longer_than_a_batch(self, batch_chars):
+        long_line = " " * (2 * batch_chars) + "2.5" + "\t" * batch_chars + "\n"
+        got = _read_stdin_samples(io.StringIO("1.0\n" + long_line + "3.0\n"))
+        assert got.tolist() == [1.0, 2.5, 3.0]
+        with pytest.raises(cli.ConfigError, match="on line 2: "):
+            _read_stdin_samples(io.StringIO("1.0\n" + long_line.replace("2.5", "2,5") + "3.0\n"))
+
+    @pytest.mark.parametrize("batch_chars", [7, None], indirect=True)
+    def test_no_trailing_newline(self, batch_chars):
+        assert _read_stdin_samples(io.StringIO("1.0\n\n2.25")).tolist() == [1.0, 2.25]
+        with pytest.raises(cli.ConfigError, match="on line 3: 'x'$"):
+            _read_stdin_samples(io.StringIO("1.0\n\nx"))
+
+    @pytest.mark.parametrize("batch_chars", [7, None], indirect=True)
+    def test_crlf_and_lone_cr_through_a_text_wrapper(self, batch_chars):
+        def wrapped(data: bytes):
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+        data = b"1.0\r\n2.0\r3.0\n\r\n-4.5\r\r0.125"
+        got = _read_stdin_samples(wrapped(data))
+        assert got.tobytes() == per_line_reference(wrapped(data)).tobytes()
+        assert got.tolist() == [1.0, 2.0, 3.0, -4.5, 0.125]
+        with pytest.raises(cli.ConfigError, match="on line 5: 'bad'$"):
+            _read_stdin_samples(wrapped(b"1.0\r\n2.0\r\r\n\rbad\r\n"))
+
+    def test_long_bad_line_is_quoted_short(self, tmp_path, monkeypatch, capsys):
+        """Space-separated values on one line are refused without echoing the line back."""
+        monkeypatch.setattr("sys.stdin", io.StringIO("1.0 " * 262_144 + "\n"))
+        assert main(["estimate", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "1048575 characters" in err
+        assert len(err) < 300
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_bad_utf8_and_bad_line_together(self, tmp_path, monkeypatch, capsys, bad_first):
+        """Either fault may be named, but the run exits 2 and writes no bundle."""
+        faults = [b"oops\n", b"1.0\xff\n"]
+        data = b"1.0\n" + (b"1.0\n" * 5_000).join(faults if bad_first else faults[::-1])
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(["estimate", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "stdin is not valid UTF-8" in err or "unparseable sample on line 2: 'oops'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_clean_lines_run_no_python_frame_per_line(self):
+        """Without timing: the reader's Python calls grow with batches, not with lines."""
+        values = np.random.default_rng(13).standard_normal(200_000)
+        stream = io.StringIO("".join(repr(v) + "\n" for v in values.tolist()))
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            samples = _read_stdin_samples(stream)
+        finally:
+            sys.setprofile(None)
+        assert samples.tobytes() == values.tobytes()
+        assert calls < 1_000
 
 
 class TestClosureCommand:

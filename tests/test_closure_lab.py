@@ -248,6 +248,14 @@ class TestTruncationControl:
         with pytest.raises(ParameterError):
             negative_control_truncation(DistributionSpec.gaussian(), 0.0, N, RngStream(53))
 
+    @pytest.mark.parametrize("m", [1.0, 10.0])
+    def test_holds_few_sample_arrays(self, m):
+        """X and Y share one (n, 2) matrix, and it is gone before the tail's sorted copy is made."""
+        # a first call at the smallest PD size loads the modules numpy imports lazily
+        negative_control_truncation(DistributionSpec.gaussian(), m, 10**5, RngStream(54))
+        _, peak = traced_peak_bytes(lambda: negative_control_truncation(DistributionSpec.gaussian(), m, N, RngStream(54)))
+        assert peak < 3.5 * 8 * N
+
 
 def weight_net_products(n, n_units, x, gen):
     """Reference sampler: the two-layer net on input ``x`` with every N(0, 1) weight drawn."""
