@@ -31,6 +31,10 @@ OVERFLOW_ABORT_FRACTION = 1e-4
 
 WORKERS_ENV_VAR = "GWT_LAB_THREADS"
 
+# each prior family's tail parameter when a config states none; gaussian and
+# laplace admit no other, a generalized gaussian's is its shape
+PRIOR_TAIL_BETA = {"gaussian": 2.0, "laplace": 1.0, "generalized_gaussian": 2.0}
+
 
 @dataclass(frozen=True)
 class LayerPrior:
@@ -53,8 +57,8 @@ class LayerPrior:
             raise ParameterError(f"scale_policy must be one of {sorted(SCALE_POLICIES)}")
         if not self.tail_beta_w > 0:
             raise ParameterError("tail_beta_w must be > 0")
-        expected = {"gaussian": 2.0, "laplace": 1.0}.get(self.family)
-        if expected is not None and self.tail_beta_w != expected:
+        expected = PRIOR_TAIL_BETA[self.family]
+        if self.family != "generalized_gaussian" and self.tail_beta_w != expected:
             raise ParameterError(
                 f"{self.family} prior has tail parameter {expected}, got {self.tail_beta_w}"
             )

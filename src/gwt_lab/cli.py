@@ -22,6 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .bnn_sampler import (
+    PRIOR_TAIL_BETA,
     LayerPrior,
     NetworkConfig,
     predicted_tail_parameter,
@@ -126,14 +127,11 @@ def parse_network(cfg: dict, seed: int, n_samples: int) -> NetworkConfig:
     raw = cfg.get("network")
     if raw is None:
         raise ConfigError("bnn command needs a 'network' section")
-    priors = [
-        LayerPrior(
-            family=p.get("family", "gaussian"),
-            tail_beta_w=float(p.get("beta_w", 2.0)),
-            scale_policy=p.get("scale_policy", "inv_sqrt_fan_in"),
-        )
-        for p in raw.get("priors", [])
-    ]
+    priors = []
+    for p in raw.get("priors", []):
+        family = p.get("family", "gaussian")
+        beta_w = p.get("beta_w", PRIOR_TAIL_BETA.get(family, 2.0))  # LayerPrior refuses an unknown family
+        priors.append(LayerPrior(family, float(beta_w), p.get("scale_policy", "inv_sqrt_fan_in")))
     return NetworkConfig(
         input_dim=raw.get("input_dim", 0),
         widths=tuple(raw.get("widths", ())),

@@ -47,7 +47,11 @@ RULE_POWER = "power"
 
 # the PD z-grid sits at quantiles 1 - 1/d of the conditioning coordinate
 _Z_TAIL_DIVISORS = (2, 10, 100, 1000, 10000)
-_PD_MIN_SAMPLES = 10**5
+# events a z cell must expect: c_hat is a minimum over cells, and the +-0.05
+# bands of the PD verdicts need cells this large to be binomially meaningful
+PD_CELL_EVENTS = 1000
+# the smallest n whose grid keeps the 0.99 cell
+_PD_MIN_SAMPLES = 100 * PD_CELL_EVENTS
 
 # two-layer ReLU net behind weight_unit_product_samples
 PRODUCT_NET_INPUT_DIM = 16
@@ -99,10 +103,6 @@ class ClosureReport:
     def passed(self) -> bool:
         return abs(self.estimated.beta_hat - self.predicted_beta) <= self.tolerance
 
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
 
 @dataclass(frozen=True)
 class TruncationReport:
@@ -126,15 +126,15 @@ def _cell_counts(ascending: np.ndarray, z_grid: np.ndarray, right: bool) -> np.n
     return np.searchsorted(ascending, z_grid, side="right")
 
 
-def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, min_cell_count: int = 100) -> PDEstimate:
+def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT) -> PDEstimate:
     """Empirical PD constant of a joint sample matrix, conditioned on its last column.
 
     For each z on the grid, computes P(all other coordinates >= 0 |
     X_cond >= z) on the right side (both inequalities flipped on the
     left). The grid keeps each quantile q = 1 - 1/d of 0.5, 0.9, 0.99,
     0.999 and 0.9999 of the conditioning coordinate whose cell expects
-    n / d >= ``min_cell_count`` events, compared in integers so that
-    n = 1e6 keeps 0.9999 at 100; every cell must then hold that many.
+    n / d >= ``PD_CELL_EVENTS`` events, compared in integers, so that
+    n = 1e6 keeps 0.999 at exactly 1000; every cell must hold that many.
     The conditioning column must be finite.
     """
     x = np.asarray(joint_samples, dtype=np.float64)
@@ -145,9 +145,7 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, min_cell_count: 
         raise InsufficientDataError(f"PD estimation needs n >= {_PD_MIN_SAMPLES}, got {n}")
     if side not in (SIDE_RIGHT, "left"):
         raise ParameterError("side must be 'right' or 'left'")
-    qs = np.array([1.0 - 1.0 / d for d in _Z_TAIL_DIVISORS if n >= min_cell_count * d])
-    if qs.size == 0:
-        raise InsufficientDataError(f"no usable z quantile at n={n} with min_cell_count={min_cell_count}")
+    qs = np.array([1.0 - 1.0 / d for d in _Z_TAIL_DIVISORS if n >= PD_CELL_EVENTS * d])
     cond = x[:, -1]
     right = side == SIDE_RIGHT
     on_side = np.greater_equal if right else np.less_equal
@@ -166,8 +164,8 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT, min_cell_count: 
     passing.sort()
     hits = _cell_counts(passing, z_grid, right)
     for z, count in zip(z_grid, counts):
-        if count < min_cell_count:
-            raise InsufficientDataError(f"conditioning cell at z={z:g} has {count} events, need {min_cell_count}")
+        if count < PD_CELL_EVENTS:
+            raise InsufficientDataError(f"conditioning cell at z={z:g} has {count} events, need {PD_CELL_EVENTS}")
     per_z = hits / counts
     return PDEstimate(c_hat=float(per_z.min()), z_grid=z_grid, per_z_conditional=per_z, side=side, cell_events=counts)
 
@@ -395,7 +393,7 @@ def _pd_dict(pd: PDEstimate) -> dict:
 def _truncation_result(name: str, rep: TruncationReport, passed: bool, **extra) -> CheckResult:
     fields = {
         "truncation": {key: getattr(rep, key) for key in _TRUNCATION_FIELDS},
-        "pd": {"c_hat": rep.pd.c_hat, "side": rep.pd.side},
+        "pd": _pd_dict(rep.pd),
     }
     if rep.tail_estimate is not None:
         fields["tail_estimate"] = rep.tail_estimate.to_dict()
@@ -403,10 +401,7 @@ def _truncation_result(name: str, rep: TruncationReport, passed: bool, **extra) 
 
 
 def _pd_independent_result(name: str, n_coords: int, expected: float, n: int, rng: RngStream) -> CheckResult:
-    joint = rng.generator().standard_normal((n, n_coords))
-    # c_hat is a minimum over noisy cells; the +-0.05 verdict band needs
-    # >= 1000 conditioning events per cell to be binomially meaningful
-    pd = estimate_pd_constant(joint, min_cell_count=1000)
+    pd = estimate_pd_constant(rng.generator().standard_normal((n, n_coords)))
     return CheckResult(name, "pd", abs(pd.c_hat - expected) <= 0.05, {"pd": _pd_dict(pd)})
 
 
@@ -431,13 +426,15 @@ def _pd_lemma_result(n_units: int, n: int, rng: RngStream) -> CheckResult:
 def closure_suite(suite: str, seed: int, n: int, window: FitWindow):
     """Run the canned checks of ``suite`` (one of SUITES); yields CheckResults in report order.
 
-    Check k draws from child stream k of ``seed`` in every suite; PD checks
-    run at n >= 1e5, in helpers: a suspended generator keeps its locals
+    Check k draws from child stream k of ``seed`` in every suite. The PD
+    checks and the truncation controls run at n >= 1e5, the PD estimate's
+    floor. PD checks run in helpers: a suspended generator keeps its locals
     alive, so their sample matrices would stack on the next check's memory.
     """
     if suite not in SUITES:
         raise ParameterError(f"suite must be one of {SUITES}, got {suite!r}")
     base = RngStream(seed)
+    n_pd = max(n, _PD_MIN_SAMPLES)
     gauss, laplace = DistributionSpec.gaussian(), DistributionSpec.laplace()
     groups = SUITES[:-1] if suite == "all" else (suite,)
 
@@ -459,17 +456,16 @@ def closure_suite(suite: str, seed: int, n: int, window: FitWindow):
         yield _rule_result("power_gauss_rescaled", check_power_rule(gauss, 3.0, 1.0, n, window, base.child(8)))
         yield _rule_result("power_laplace_sqrt", check_power_rule(laplace, 1.0, 0.5, n, window, base.child(9)))
     if "pd" in groups:
-        n_pd = max(n, _PD_MIN_SAMPLES)
         yield _pd_independent_result("pd_independent_pair", 2, 0.5, n_pd, base.child(10))
         yield _pd_independent_result("pd_independent_triple", 3, 0.25, n_pd, base.child(11))
         yield _pd_counter_monotone_result(n_pd, base.child(12))
         for n_units, k in ((2, 13), (3, 14), (4, 15)):
             yield _pd_lemma_result(n_units, n_pd, base.child(k))
     if "negatives" in groups:
-        rep = negative_control_truncation(gauss, 1.0, n, base.child(16), window)
+        rep = negative_control_truncation(gauss, 1.0, n_pd, base.child(16), window)
         tight = rep.within_bound and rep.survival_beyond_bound == 0.0 and rep.pd.c_hat <= 0.05
         yield _truncation_result("truncation_gaussian_m1", rep, tight, expected_fail_of_pd=True)
-        rep = negative_control_truncation(gauss, 10.0, n, base.child(17), window)
+        rep = negative_control_truncation(gauss, 10.0, n_pd, base.child(17), window)
         loose = rep.within_bound
         if rep.tail_estimate is not None:
             tol = closure_tolerance(2.0, rep.tail_estimate.stderr_slope)

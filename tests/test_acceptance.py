@@ -11,7 +11,7 @@ the generalized-Gaussian shape-3 family both sit ~1-2% outside their
 their survival functions still drifts across the deepest reachable fit
 window, and no estimator with sub-band sampling noise can remove that
 drift (removing it requires a second-order term whose fitted variance
-exceeds the band itself; see the bias study in the repo notes).
+exceeds the band itself; see the bias table of item 4 in ROADMAP.md).
 """
 
 import json

@@ -105,7 +105,8 @@ MISTYPED_CONFIGS = {
 }
 
 # Leaves of the fuzzed config trees, and, by key, values that pass the schema. Suite
-# "pd" is left out: its checks sample at least 1e5 values whatever n_samples is.
+# "pd" is left out: its checks sample at least 1e5 values whatever n_samples is. The
+# truncation controls of "negatives" do too, but a tiny n ends its last check early.
 LEAVES = [None, True, "x", "0.9", -1, 0, 2, 2.5, HUGE, [], {}, ["a"]]
 SMALL_LEAVES = [v for v in LEAVES if v is not HUGE]
 VALID = {
@@ -286,6 +287,21 @@ class TestBnnCommand:
     def test_tiny_run_insufficient_data(self, tmp_path):
         path = bnn_config(tmp_path, n_samples=100)
         assert main(["bnn", "--config", path, "--out", str(tmp_path / "o")]) == 4
+
+    def test_prior_tail_parameter_defaults_to_its_family(self, tmp_path, capsys):
+        bundles = []
+        for prior in ({"family": "laplace"}, {"family": "laplace", "beta_w": 1.0}):
+            net = {"input_dim": 300, "widths": [3, 3], "priors": [{"family": "gaussian"}, prior]}
+            path = bnn_config(tmp_path, network=net)
+            out = str(tmp_path / f"o{len(bundles)}")
+            assert main(["bnn", "--config", path, "--out", out]) == 0
+            bundles.append(read_bundle(out))
+        assert bundles[0] == bundles[1]
+        # a stated value that does not match the family is still refused
+        net = {"input_dim": 300, "widths": [3], "priors": [{"family": "laplace", "beta_w": 2.0}]}
+        assert main(["bnn", "--config", bnn_config(tmp_path, network=net), "--out", str(tmp_path / "x")]) == 2
+        assert "laplace prior has tail parameter 1.0, got 2.0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_overflow_abort_status(self, tmp_path):
         path = write_config(
@@ -619,6 +635,37 @@ class TestClosureCommand:
         for name, beta_hat in fitted.items():
             assert abs(refit_beta_from_points(by_label[name]) - beta_hat) < 1e-9
 
+    @pytest.mark.parametrize("seed, n_samples", [(7, 10**5), (11, 10**6)])
+    def test_every_pd_record_counts_1000_events_per_cell(self, tmp_path, seed, n_samples):
+        path = write_config(tmp_path, command="closure", seed=seed, suite="all", n_samples=n_samples)
+        out = str(tmp_path / "o")
+        assert main(["closure", "--config", path, "--out", out]) in (0, 1)
+        summary, _ = read_bundle(out)
+        records = {
+            (r["name"], key): value
+            for r in summary["reports"]
+            for key, value in r.items()
+            if isinstance(value, dict) and "c_hat" in value
+        }
+        # pair, triple, counter-monotone, three lemma checks on two sides, two truncations
+        assert len(records) == 11
+        assert {("truncation_gaussian_m1", "pd"), ("truncation_gaussian_m10", "pd")} <= set(records)
+        for where, record in records.items():
+            assert len(record["cell_events"]) == len(record["z_grid"]) == len(record["per_z_conditional"]), where
+            assert min(record["cell_events"]) >= 1000, where
+
+    def test_negatives_below_the_pd_floor_write_a_bundle(self, tmp_path):
+        """The truncation controls sample at least 1e5 values, like the PD checks."""
+        path = write_config(tmp_path, command="closure", seed=3, suite="negatives", n_samples=50000)
+        out = str(tmp_path / "o")
+        assert main(["closure", "--config", path, "--out", out]) in (0, 1)
+        summary, _ = read_bundle(out)
+        assert summary["n_samples"] == 50000
+        assert [r["name"] for r in summary["reports"]] == [
+            "truncation_gaussian_m1", "truncation_gaussian_m10", "student_t_weibull_envelopes"
+        ]
+        assert all(len(r["pd"]["cell_events"]) == 3 for r in summary["reports"] if "pd" in r)
+
 
 # command -> (config, exit status, sha256 of each bundle file)
 GOLDEN_BUNDLES = {
@@ -626,7 +673,7 @@ GOLDEN_BUNDLES = {
         {"command": "closure", "seed": 7, "suite": "all", "n_samples": 100000},
         1,
         {
-            "summary.json": "21e5e1b79184f5c6dc68d0b8b71ac41f6c34296db6781defb7fd58d42941cd7d",
+            "summary.json": "9495823203f3e6766b99e8cdcf376bdff4576e5bb557f0bdc6b2451b3f4cb1bc",
             "curves.csv": "7650665ebbe0c9cc2a0e7497aef6538e867e9807e4886329b5661c1a8df55d93",
         },
     ),

@@ -29,8 +29,7 @@ from gwt_lab.closure_lab import PRODUCT_NET_HIDDEN_WIDTH, PRODUCT_NET_INPUT_DIM,
 N = 2 * 10**5
 N_WIDE = 10**6  # gaussian-family checks at beta = 2 need the full-scale window
 WINDOW = FitWindow()
-SHALLOW_Z = (0.5, 0.9, 0.99)  # the PD z-grid at N with min_cell_count=1000
-DEFAULT_Z = SHALLOW_Z + (0.999,)  # the PD z-grid at N with the default 100 events per cell
+DEFAULT_Z = (0.5, 0.9, 0.99)  # the PD z-grid at N: the 0.999 cell would expect 200 events
 
 
 class TestTolerance:
@@ -44,29 +43,29 @@ class TestTolerance:
 class TestEstimatePdConstant:
     def test_independent_pair_is_half(self):
         joint = RngStream(1).generator().standard_normal((N, 2))
-        pd = estimate_pd_constant(joint, min_cell_count=1000)
+        pd = estimate_pd_constant(joint)
         assert abs(pd.c_hat - 0.5) <= 0.05
 
     def test_independent_triple_is_quarter(self):
         joint = RngStream(2).generator().standard_normal((N, 3))
-        pd = estimate_pd_constant(joint, min_cell_count=1000)
+        pd = estimate_pd_constant(joint)
         assert abs(pd.c_hat - 0.25) <= 0.05
 
     def test_left_side_mirror(self):
         joint = RngStream(3).generator().standard_normal((N, 2))
-        pd = estimate_pd_constant(joint, side="left", min_cell_count=1000)
+        pd = estimate_pd_constant(joint, side="left")
         assert abs(pd.c_hat - 0.5) <= 0.05
 
     def test_counter_monotone_pair_fails_pd(self):
         x = RngStream(4).generator().standard_normal(N)
-        pd = estimate_pd_constant(np.column_stack([x, -x]), min_cell_count=1000)
+        pd = estimate_pd_constant(np.column_stack([x, -x]))
         assert pd.c_hat <= 0.05
 
     def test_independent_conditionals_flat_in_z(self):
         joint = RngStream(5).generator().standard_normal((N, 2))
-        pd = estimate_pd_constant(joint, min_cell_count=1000)
-        assert pd.per_z_conditional.size == len(SHALLOW_Z)
-        for q, p in zip(SHALLOW_Z, pd.per_z_conditional):
+        pd = estimate_pd_constant(joint)
+        assert pd.per_z_conditional.size == len(DEFAULT_Z)
+        for q, p in zip(DEFAULT_Z, pd.per_z_conditional):
             cell = N * (1 - q)
             assert abs(p - 0.5) <= 3 * np.sqrt(0.25 / cell)
 
@@ -76,7 +75,7 @@ class TestEstimatePdConstant:
             estimate_pd_constant(joint)
 
     def test_million_rows_keep_the_deepest_quantile(self):
-        """At n = 1e6 the 0.9999 cell holds 100 events, though 1e6 * (1 - 0.9999) < 100 in floating point."""
+        """At n = 1e6 the 0.999 cell holds exactly 1000 events, the fewest the cell rule allows."""
         grids = {}
         for result in closure_suite("pd", 11, 10**6, WINDOW):
             for key in ("pd", "pd_left"):
@@ -84,23 +83,16 @@ class TestEstimatePdConstant:
                     record = result.fields[key]
                     assert len(record["cell_events"]) == len(record["z_grid"])
                     grids[(result.name, key)] = record["cell_events"]
-        # the independent checks ask for 1000 events per cell, which 0.9999 would hold at n = 1e7
-        assert grids.pop(("pd_independent_pair", "pd"))[-1] == 1000
-        assert grids.pop(("pd_independent_triple", "pd"))[-1] == 1000
-        assert len(grids) == 7 and {len(events) for events in grids.values()} == {5}
-        assert {events[-1] for events in grids.values()} == {100}
-
-    def test_unreachable_cell_count_rejected(self):
-        joint = RngStream(7).generator().standard_normal((N, 2))
-        with pytest.raises(InsufficientDataError):
-            estimate_pd_constant(joint, min_cell_count=N)
+        # every check asks for 1000 events per cell, which 0.9999 would hold at n = 1e7
+        assert len(grids) == 9 and {len(events) for events in grids.values()} == {4}
+        assert {events[-1] for events in grids.values()} == {1000}
 
     def test_lemma_products_respect_bound(self):
         for n_units in (2, 3, 4):
             joint = weight_unit_product_samples(N, n_units, RngStream(8 + n_units))
             floor = 1.0 / 2 ** (n_units - 1) - 0.05
             for side in ("right", "left"):
-                pd = estimate_pd_constant(joint, side=side, min_cell_count=1000)
+                pd = estimate_pd_constant(joint, side=side)
                 assert pd.c_hat >= floor
 
 
@@ -113,7 +105,7 @@ class TestSumRule:
             RngStream(21),
         )
         assert report.predicted_beta == 1.0
-        assert report.verdict == "pass"
+        assert report.passed
         assert 0.8 < report.estimated.beta_hat < 1.2
 
     def test_point_mass_is_identity(self):
@@ -124,7 +116,7 @@ class TestSumRule:
             RngStream(22),
         )
         assert report.predicted_beta == 2.0
-        assert report.verdict == "pass"
+        assert report.passed
 
     def test_min_rule_over_three(self):
         specs = [
@@ -134,14 +126,14 @@ class TestSumRule:
         ]
         report = check_sum_rule(specs, N, WINDOW, RngStream(23))
         assert report.predicted_beta == 1.5
-        assert report.verdict == "pass"
+        assert report.passed
 
     def test_verdict_invariant_under_permutation(self):
         specs = [DistributionSpec.gaussian(), DistributionSpec.laplace()]
         a = check_sum_rule(specs, N, WINDOW, RngStream(24))
         b = check_sum_rule(specs[::-1], N, WINDOW, RngStream(24))
         assert a.predicted_beta == b.predicted_beta
-        assert a.verdict == b.verdict
+        assert a.passed == b.passed
 
     def test_requires_a_tail(self):
         with pytest.raises(ParameterError):
@@ -159,14 +151,14 @@ class TestProductRule:
             DistributionSpec.gaussian(), DistributionSpec.gaussian(), N, WINDOW, RngStream(31)
         )
         assert report.predicted_beta == pytest.approx(1.0)
-        assert report.verdict == "pass"
+        assert report.passed
 
     def test_gaussian_laplace_harmonic(self):
         report = check_product_rule(
             DistributionSpec.gaussian(), DistributionSpec.laplace(), N, WINDOW, RngStream(32)
         )
         assert report.predicted_beta == pytest.approx(2.0 / 3.0)
-        assert report.verdict == "pass"
+        assert report.passed
 
     def test_commutativity(self):
         x, y = DistributionSpec.gaussian(), DistributionSpec.laplace()
@@ -181,7 +173,7 @@ class TestProductRule:
             DistributionSpec.gaussian(), DistributionSpec.point_mass(1.0), N_WIDE, WINDOW, RngStream(34)
         )
         assert report.predicted_beta == 2.0
-        assert report.verdict == "pass"
+        assert report.passed
 
     def test_zero_point_mass_rejected(self):
         with pytest.raises(ParameterError):
@@ -211,17 +203,17 @@ class TestPowerRule:
     def test_squared_gaussian_is_chi_square_tail(self):
         report = check_power_rule(DistributionSpec.gaussian(), 1.0, 2.0, N, WINDOW, RngStream(41))
         assert report.predicted_beta == pytest.approx(1.0)
-        assert report.verdict == "pass"
+        assert report.passed
 
     def test_pure_rescaling_keeps_beta(self):
         report = check_power_rule(DistributionSpec.gaussian(), 3.0, 1.0, N_WIDE, WINDOW, RngStream(42))
         assert report.predicted_beta == pytest.approx(2.0)
-        assert report.verdict == "pass"
+        assert report.passed
 
     def test_sqrt_laplace_doubles_beta(self):
         report = check_power_rule(DistributionSpec.laplace(), 1.0, 0.5, N, WINDOW, RngStream(43))
         assert report.predicted_beta == pytest.approx(2.0)
-        assert report.verdict == "pass"
+        assert report.passed
 
     def test_invalid_exponent(self):
         with pytest.raises(ParameterError):
@@ -310,7 +302,7 @@ class TestWeightUnitProducts:
             weight_unit_product_samples(10**5, 1, RngStream(62))
 
 
-def pd_reference(joint_samples, side="right", min_cell_count=100):
+def pd_reference(joint_samples, side="right", min_cell_count=1000):
     """The quantile-and-mask PD estimate that ``estimate_pd_constant`` replaced: its bitwise reference.
 
     Returns ``(c_hat, z_grid, per_z_conditional, cell_events)``.
@@ -358,10 +350,10 @@ class TestPdMatchesReference:
             "tied": tied_joint(n, n_coords, 80 + n_coords),
             "lemma": weight_unit_product_samples(n, n_coords, RngStream(90 + n_coords)),
         }
-        for (kind, joint), side, min_cell_count in itertools.product(samples.items(), ("right", "left"), (100, 1000)):
-            got = estimate_pd_constant(joint, side=side, min_cell_count=min_cell_count)
-            c_hat, z_grid, per_z, counts = pd_reference(joint, side, min_cell_count)
-            where = (kind, side, min_cell_count)
+        for (kind, joint), side in itertools.product(samples.items(), ("right", "left")):
+            got = estimate_pd_constant(joint, side=side)
+            c_hat, z_grid, per_z, counts = pd_reference(joint, side)
+            where = (kind, side)
             assert np.float64(got.c_hat).tobytes() == np.float64(c_hat).tobytes(), where
             assert got.per_z_conditional.tobytes() == per_z.tobytes(), where
             assert np.array_equal(got.z_grid, z_grid), where
@@ -371,16 +363,15 @@ class TestPdMatchesReference:
                 # more than half the products are a signed zero, so the median is one
                 assert got.z_grid[0] == 0, where
 
-    @pytest.mark.parametrize(
-        "n, min_cell_count", [(99_999, 100), (123_457, 10**5), (123_457, 123_458)]
-    )
+    # below the sample floor the message does not depend on the reference's cell count
+    @pytest.mark.parametrize("n, min_cell_count", [(99_999, 100)])
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_same_insufficient_data_messages(self, n, min_cell_count, side):
         joint = tied_joint(n, 3, 7)
         with pytest.raises(InsufficientDataError) as want:
             pd_reference(joint, side, min_cell_count)
         with pytest.raises(InsufficientDataError) as got:
-            estimate_pd_constant(joint, side=side, min_cell_count=min_cell_count)
+            estimate_pd_constant(joint, side=side)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
