@@ -5,11 +5,13 @@ input is propagated through the network; the pre- and post-activations
 of unit 0 are recorded per layer. Replicate ``i`` always draws
 from stream id ``i`` of the configured seed, so results are bitwise
 identical for any worker count. Chunks of replicates run on a thread
-pool in the calling process; numpy's bulk draws and matmuls release the
-GIL, so threads share the work.
+pool in the calling process, each filling its own columns of one trace
+array; numpy's bulk draws and matmuls release the GIL, so threads share
+the work.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,8 +30,6 @@ _INPUT_STREAM_ID = (1 << 64) - 1
 
 # fraction of replicates allowed to overflow before the run aborts
 OVERFLOW_ABORT_FRACTION = 1e-4
-
-WORKERS_ENV_VAR = "GWT_LAB_THREADS"
 
 # each prior family's tail parameter when a config states none; gaussian and
 # laplace admit no other, a generalized gaussian's is its shape
@@ -173,53 +173,38 @@ def forward_sample(config: NetworkConfig, input_vec: np.ndarray, rng: RngStream)
     return g_out, h_out
 
 
-def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Unit 0's (g, h) of replicates start..stop-1 as one (2, depth, stop - start) array.
+def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, out: np.ndarray, start: int) -> None:
+    """Fill column j of the NaN-filled ``out`` with unit 0's (g, h) of replicate ``start + j``.
 
-    A replicate that overflows keeps NaN in all its slots; no other
-    replicate can hold a NaN, since forward_sample raises on any
-    non-finite pre-activation.
+    An overflowed replicate keeps its NaNs; no other can hold one, since
+    forward_sample raises on any non-finite pre-activation.
     """
-    block = np.full((2, config.depth, stop - start), np.nan)
-    for j, i in enumerate(range(start, stop)):
-        try:
-            block[:, :, j] = forward_sample(config, input_vec, RngStream(config.seed, i))
-        except NumericalOverflowError:
-            pass
-    return block
+    for j in range(out.shape[2]):
+        with contextlib.suppress(NumericalOverflowError):
+            out[:, :, j] = forward_sample(config, input_vec, RngStream(config.seed, start + j))
 
 
-def _resolve_workers(workers) -> int:
-    """Pool size: ``workers``, else GWT_LAB_THREADS, else 1; capped by GWT_LAB_THREADS and the usable CPUs."""
-    env = os.environ.get(WORKERS_ENV_VAR)
-    try:
-        cap = max(1, int(env)) if env else None
-    except ValueError:
-        raise ParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    requested = (cap or 1) if workers is None else max(1, int(workers))
-    return min(requested, cap or requested, cpus)
-
-
-def run_prior_monte_carlo(config: NetworkConfig, workers: int | None = None) -> UnitTrace:
+def run_prior_monte_carlo(config: NetworkConfig, workers: int = 1) -> UnitTrace:
     """n_samples independent replicates of the prior forward pass.
 
     The fixed input is ``make_input(config.input_dim, config.seed)``.
     Replicate ``i`` uses stream id ``i`` of ``config.seed``, so the trace
-    is identical for any worker count. ``workers`` threads run the
-    replicate chunks; it defaults to the GWT_LAB_THREADS environment
-    variable (1 if unset), which also caps an explicit value, and never
-    exceeds the CPUs this process may run on. Aborts when more than 0.01
-    percent of replicates overflow.
+    is identical for any worker count. ``workers`` threads, at most the
+    CPUs this process may run on, fill disjoint column chunks of one
+    ``(2, depth, n_samples)`` array. Aborts when more than 0.01 percent of
+    replicates overflow.
     """
     input_vec = make_input(config.input_dim, config.seed)
     n = config.n_samples
-    workers = _resolve_workers(workers)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(max(1, workers), cpus)
     chunk = min(20_000, -(-n // (workers * 4)))
+    trace = np.full((2, config.depth, n), np.nan)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_chunk, config, input_vec, s, min(s + chunk, n)) for s in range(0, n, chunk)]
-        blocks = [fut.result() for fut in futures]
-    g, h = np.concatenate(blocks, axis=2)
+        starts = range(0, n, chunk)
+        for fut in [pool.submit(_run_chunk, config, input_vec, trace[:, :, s : s + chunk], s) for s in starts]:
+            fut.result()  # re-raises a chunk's exception
+    g, h = trace
     overflowed = np.flatnonzero(np.isnan(g[0]))
     if overflowed.size > OVERFLOW_ABORT_FRACTION * n:
         raise OverflowAbortError(

@@ -4,7 +4,8 @@ Experiments are described by a JSON config (one SCHEMA for all commands,
 checked before any work starts) and emit a result bundle: a machine-readable
 summary.json plus a plot-ready curves.csv holding the log-log points
 every reported estimate was fitted on. Files are written atomically
-(write-then-rename); nothing is left behind on failure.
+(write-then-rename); nothing is left behind on failure. GWT_LAB_THREADS
+(an integer, 1 if unset) sets the threads of the bnn Monte Carlo.
 
 Exit codes: 0 ok, 1 closure verdict failed, 2 bad config, I/O error or
 refused allocation, 3 overflow abort, 4 insufficient data or empty input.
@@ -42,7 +43,6 @@ from .tail_distributions import DistributionSpec, sample_iid
 from .tail_estimation import EmpiricalTail, FitWindow, estimate_with_points
 
 DESK_SCALE_N = 10**5
-FULL_SCALE_N = 10**6
 DEFAULT_OUT_DIR = "gwt-lab-out"
 
 
@@ -53,15 +53,25 @@ MAX_COUNT = 10**9
 # Leaf kinds of SCHEMA, each named by the phrase its error message uses; in
 # SCHEMA a dict is a section with those keys, a one-item list a list of that kind.
 STRING = "a string"
+PATH = "a string without NUL or unencodable characters"
 INTEGER = "an integer"
 COUNT = f"an integer in 1..{MAX_COUNT}"
 NUMBER = "a finite number"
 NUMBER_MAP = "an object of finite numbers"
 
+
+def _is_path(v) -> bool:
+    try:  # os.fsencode refuses a lone surrogate; the OS refuses NUL
+        return type(v) is str and b"\0" not in os.fsencode(v)
+    except UnicodeEncodeError:
+        return False
+
+
 # json.load yields exact int and float, so type() also refuses bools; comparing
 # exactly with float_info.max refuses NaN, infinities and ints too big for a float
 _LEAF_TESTS = {
     STRING: lambda v: type(v) is str,
+    PATH: _is_path,
     INTEGER: lambda v: type(v) is int,
     COUNT: lambda v: type(v) is int and 1 <= v <= MAX_COUNT,
     NUMBER: lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
@@ -72,7 +82,7 @@ SCHEMA = {
     "seed": INTEGER,
     "n_samples": COUNT,
     "suite": STRING,
-    "out_dir": STRING,
+    "out_dir": PATH,
     "fit_window": {"q_lo": NUMBER, "q_hi": NUMBER, "grid_size": COUNT, "min_points": COUNT},
     "network": {
         "input_dim": COUNT,
@@ -113,8 +123,8 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to convert
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an integer too long, nesting too deep
+        raise ConfigError(f"cannot parse config as JSON: {exc}") from exc
     validate(cfg)
     return cfg
 
@@ -192,10 +202,10 @@ def _points_rows(label: str, points: np.ndarray):
 # ----------------------------- commands --------------------------------
 
 
-def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int) -> int:
+def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int, workers: int) -> int:
     window = parse_fit_window(cfg)
     netcfg = parse_network(cfg, seed, n_samples)
-    trace = run_prior_monte_carlo(netcfg)
+    trace = run_prior_monte_carlo(netcfg, workers)
     layers = []
     rows = []
     for l in range(netcfg.depth):
@@ -351,13 +361,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config, help="JSON experiment config")
         p.add_argument("--out", help="output directory for the result bundle")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--full", action="store_true", help="run at full scale (n = 1e6)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        threads = os.environ.get("GWT_LAB_THREADS") or "1"
+        try:
+            workers = int(threads)
+        except ValueError:
+            raise ConfigError(f"GWT_LAB_THREADS must be an integer, got {threads!r}") from None
         cfg = load_config(args.config) if args.config else {}
         declared = cfg.get("command")
         if declared is not None and declared != args.command:
@@ -368,10 +382,11 @@ def main(argv=None) -> int:
         if seed is None:
             raise ConfigError("a seed is required (config 'seed' or --seed)")
         seed = RngStream(seed).seed  # refuses a seed outside 0..2**64 - 1
-        n_samples = FULL_SCALE_N if args.full else cfg.get("n_samples", DESK_SCALE_N)
+        n_samples = cfg.get("n_samples", DESK_SCALE_N)
         out_dir = args.out or cfg.get("out_dir") or DEFAULT_OUT_DIR
+        validate(out_dir, PATH, "--out")  # main(argv) can pass what no shell can
         if args.command == "bnn":
-            return cmd_bnn_experiment(cfg, out_dir, seed, n_samples)
+            return cmd_bnn_experiment(cfg, out_dir, seed, n_samples, workers)
         if args.command == "estimate":
             return cmd_estimate_tail(cfg, out_dir, seed, n_samples)
         return cmd_closure_suite(cfg, out_dir, seed, n_samples)

@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo prior-propagation engine."""
 
 import os
+import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -236,13 +238,43 @@ class TestRunPriorMonteCarlo:
             np.testing.assert_array_equal(solo.g[l], duo.g[l])
             np.testing.assert_array_equal(solo.g[l], five.g[l])
 
-    def test_thread_env_var_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("GWT_LAB_THREADS", "2")
+    def test_more_threads_than_cpus_fill_every_column(self, monkeypatch):
+        """Eight threads switching every microsecond write their disjoint slices as one thread does."""
+        cfg = small_config(n_samples=3000)
+        solo = run_prior_monte_carlo(cfg, workers=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = run_prior_monte_carlo(cfg, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not np.isnan(many.g[-1]).any()
+        for a, b in zip(solo.g + solo.h, many.g + many.h):
+            np.testing.assert_array_equal(a, b)
+
+    def test_library_ignores_thread_env_var(self, monkeypatch):
+        """Only the CLI reads GWT_LAB_THREADS; the sampler takes its worker count as an argument."""
+        monkeypatch.setenv("GWT_LAB_THREADS", "abc")
         cfg = small_config(n_samples=500)
-        capped = run_prior_monte_carlo(cfg, workers=64)
         default = run_prior_monte_carlo(cfg)
-        for l in range(cfg.depth):
-            np.testing.assert_array_equal(capped.g[l], default.g[l])
+        duo = run_prior_monte_carlo(cfg, workers=2)
+        for a, b in zip(default.g + default.h, duo.g + duo.h):
+            np.testing.assert_array_equal(a, b)
+
+    def test_trace_is_filled_in_place(self):
+        """Chunks write into one trace array: the peak holds about one copy of it, not two."""
+        cfg = small_config(input_dim=8, widths=(4,) * 4, layer_priors=(GAUSS,) * 4, n_samples=20_000)
+        run_prior_monte_carlo(small_config(n_samples=10), workers=2)  # first-call imports stay out of the peak
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_prior_monte_carlo(cfg, workers=2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        trace_bytes = 2 * cfg.depth * cfg.n_samples * 8
+        assert peak < 1.5 * trace_bytes
 
     def test_huge_thread_count_capped_by_cpus(self, monkeypatch):
         """A pool never asks for more threads than CPUs; the stub runs chunks inline, starting none."""
@@ -263,9 +295,8 @@ class TestRunPriorMonteCarlo:
                 return SimpleNamespace(result=lambda: result)
 
         monkeypatch.setattr(bnn_sampler, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setenv("GWT_LAB_THREADS", "1000000")
         cfg = small_config(n_samples=500)
-        capped = run_prior_monte_carlo(cfg)
+        capped = run_prior_monte_carlo(cfg, workers=10**6)
         solo = run_prior_monte_carlo(cfg, workers=1)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert len(requested) == 2

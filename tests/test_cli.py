@@ -107,7 +107,7 @@ MISTYPED_CONFIGS = {
 # Leaves of the fuzzed config trees, and, by key, values that pass the schema. Suite
 # "pd" is left out: its checks sample at least 1e5 values whatever n_samples is. The
 # truncation controls of "negatives" do too, but a tiny n ends its last check early.
-LEAVES = [None, True, "x", "0.9", -1, 0, 2, 2.5, HUGE, [], {}, ["a"]]
+LEAVES = [None, True, "x", "0.9", "a\x00b", "\ud800", -1, 0, 2, 2.5, HUGE, [], {}, ["a"]]
 SMALL_LEAVES = [v for v in LEAVES if v is not HUGE]
 VALID = {
     "command": ["bnn", "estimate", "closure"],
@@ -193,12 +193,35 @@ class TestConfigValidation:
         assert "out of memory" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_bad_thread_count_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "command, sections",
+        [("bnn", {"network": SMALL_NETWORK}), ("estimate", {"distribution": GAUSSIAN}), ("closure", {"suite": "sum"})],
+        ids=["bnn", "estimate", "closure"],
+    )
+    def test_bad_thread_count_is_a_config_error(self, tmp_path, monkeypatch, capsys, command, sections):
+        """Every command reads GWT_LAB_THREADS before any work, whether or not it runs threads."""
         monkeypatch.setenv("GWT_LAB_THREADS", "abc")
-        path = write_config(tmp_path, command="bnn", seed=1, n_samples=2000, network=SMALL_NETWORK)
-        assert main(["bnn", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        path = write_config(tmp_path, command=command, seed=1, n_samples=2000, **sections)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "GWT_LAB_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("via", ["config", "--out"])
+    @pytest.mark.parametrize("out_dir", ["a\x00b", "x\ud800y"], ids=["nul", "lone_surrogate"])
+    def test_unusable_out_dir_is_a_config_error(self, tmp_path, monkeypatch, capsys, out_dir, via):
+        """A path os.fsencode or the OS refuses exits 2 before any sampling, not in a traceback after it."""
+        in_config = {"out_dir": out_dir} if via == "config" else {}
+        path = write_config(tmp_path, command="estimate", seed=1, n_samples=20000, distribution=GAUSSIAN, **in_config)
+        monkeypatch.chdir(tmp_path)
+        assert main(["estimate", "--config", path, *([] if in_config else ["--out", out_dir])]) == 2
+        assert ("config.out_dir" if in_config else "--out") in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_deeply_nested_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 10**5 + "]" * 10**5)
+        assert main(["bnn", "--config", str(path)]) == 2
+        assert "config" in capsys.readouterr().err
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         path = write_config(tmp_path, command="bnn", seed=1, network={}, typo=1)
