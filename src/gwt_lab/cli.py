@@ -17,7 +17,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -181,10 +180,11 @@ def write_bundle(out_dir: str, summary: dict, curve_rows) -> None:
     staged = []
     try:
         for name, text in payloads.items():
-            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            tmp = os.path.join(out_dir, f".{name}.{os.urandom(6).hex()}")
+            # "x" creates the file exclusively with mode 0o666 less the umask; mkstemp's is 0o600
+            with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+                staged.append((tmp, os.path.join(out_dir, name)))
                 fh.write(text)
-            staged.append((tmp, os.path.join(out_dir, name)))
         # rename only after every payload is staged: no partial bundles
         for tmp, final in staged:
             os.replace(tmp, final)

@@ -1,10 +1,9 @@
 """Random variate generation for stretched-exponential tail families.
 
-Each family comes with an exact survival function where a closed form (or
-a high-accuracy special-function evaluation) exists, so samplers can be
-validated against analytic tails. The shape parameter of every family is
-its tail parameter: survival decays like ``exp(-x**beta * l(x))`` with
-``l`` slowly varying. Heavier tails have smaller ``beta``.
+The tests hold each family's exact survival law and check the sampler
+against it. The shape parameter of every family is its tail parameter:
+survival decays like ``exp(-x**beta * l(x))`` with ``l`` slowly varying.
+Heavier tails have smaller ``beta``.
 
 Families
 --------
@@ -160,12 +159,15 @@ class DistributionSpec:
 # -- sampling -------------------------------------------------------------
 
 
+@np.errstate(over="ignore")
 def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     """Draw ``n`` independent variates from ``spec``.
 
     Deterministic given ``(rng.seed, rng.stream_id)``. Within a stream the
     draw order per family is fixed (magnitudes before signs), so results
     are stable across library versions of the same numpy generation code.
+    A variate too large for float64 comes back as inf, without a warning;
+    folding the samples refuses it.
     """
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
@@ -204,45 +206,6 @@ def _symmetric_draws(gen: np.random.Generator, family: str, beta, scale: float, 
     magnitude = scale * gen.gamma(1.0 / beta, 1.0, size) ** (1.0 / beta)
     sign = np.where(gen.random(size) < 0.5, -1.0, 1.0)
     return sign * magnitude
-
-
-# -- survival functions ---------------------------------------------------
-
-
-def exact_survival(spec: DistributionSpec, x):
-    """P(X >= x) for the family, accurate to near float precision.
-
-    Accepts a scalar or an array; returns the matching shape.
-    """
-    # imported here, its one use, so that no command pays scipy's import time
-    from scipy import special
-
-    x = np.asarray(x, dtype=np.float64)
-    p = spec.params
-    family = spec.family
-    if family == "gaussian":
-        out = special.ndtr(-x / p["sigma"])
-    elif family == "laplace":
-        z = x / p["scale"]
-        out = np.where(z >= 0, 0.5 * np.exp(-np.abs(z)), 1.0 - 0.5 * np.exp(-np.abs(z)))
-    elif family == "weibull":
-        z = np.maximum(x, 0.0) / p["scale"]
-        out = np.exp(-(z ** p["shape"]))
-    elif family == "generalized_gaussian":
-        z = np.abs(x) / p["scale"]
-        half = 0.5 * special.gammaincc(1.0 / p["shape"], z ** p["shape"])
-        out = np.where(x >= 0, half, 1.0 - half)
-    elif family == "oscillating_gwt":
-        flat = np.atleast_1d(x).astype(np.float64).copy()
-        pos = flat > 0
-        res = np.ones_like(flat)
-        res[pos] = np.exp(-_oscillating_exponent(p["shape"], flat[pos]))
-        out = res.reshape(x.shape)
-    elif family == "student_t":
-        out = special.stdtr(p["dof"], -x / p["scale"])
-    else:  # point_mass
-        out = np.where(x <= p["value"], 1.0, 0.0)
-    return out if out.ndim else float(out)
 
 
 def _oscillating_exponent(beta: float, x: np.ndarray) -> np.ndarray:

@@ -209,7 +209,7 @@ def _bounded_minimum(f, a, b, xatol):
     bits ``minimize_scalar(f, bounds=(a, b), method="bounded",
     options={"xatol": xatol})`` returns: golden-section steps, parabolic
     steps where the parabola is acceptable, and at most 500 evaluations.
-    Kept in-module so that no command has to import scipy.
+    Kept in-module because the package runs on numpy alone.
     """
     maxfun = 500
     sqrt_eps = np.sqrt(2.2e-16)

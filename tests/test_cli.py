@@ -1,5 +1,7 @@
 """End-to-end tests of the gwt-lab command-line interface."""
 
+import ast
+import errno
 import hashlib
 import io
 import json
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -445,6 +448,72 @@ class TestEstimateCommand:
         )
         assert main(["estimate", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("gaussian", {"sigma": 1e308}),
+            ("weibull", {"shape": 1.0, "scale": 1e308}),
+            ("student_t", {"dof": 3.0, "scale": 1e308}),
+            ("generalized_gaussian", {"shape": 2.0, "scale": 1e308}),
+            ("generalized_gaussian", {"shape": 0.006, "scale": 1.0}),
+        ],
+    )
+    def test_sampled_overflow_exits_4_without_warning(self, tmp_path, capsys, family, params):
+        """Draws too large for float64 are refused as non-finite samples, with no numpy warning."""
+        path = write_config(
+            tmp_path, command="estimate", seed=3, n_samples=100000,
+            distribution={"family": family, "params": params},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--config", path, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "samples must be finite" in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestBundleFiles:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def test_files_take_the_umask(self, tmp_path, umask, mode):
+        """Bundle files get the mode open() would give them: 0o666 less the umask."""
+        path = write_config(tmp_path, command="estimate", seed=3, n_samples=20000, distribution=GAUSSIAN)
+        out = tmp_path / "o"
+        previous = os.umask(umask)
+        try:
+            assert main(["estimate", "--config", path, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert {name: (out / name).stat().st_mode & 0o777 for name in ("summary.json", "curves.csv")} == {
+            "summary.json": mode,
+            "curves.csv": mode,
+        }
+
+    def test_failed_staging_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        """A write that fails while staging the second file exits 2 and leaves no file behind."""
+        staged = []
+
+        def open_failing_curves(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            name = os.path.basename(file)
+            if name.startswith((".summary.json.", ".curves.csv.")):
+                staged.append(name)
+            if name.startswith(".curves.csv."):
+                def write(_text):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+                fh.write = write
+            return fh
+
+        path = write_config(tmp_path, command="estimate", seed=3, n_samples=20000, distribution=GAUSSIAN)
+        out = tmp_path / "o"
+        monkeypatch.setattr(cli, "open", open_failing_curves, raising=False)
+        assert main(["estimate", "--config", path, "--out", str(out)]) == 2
+        assert [name.split(".")[1] for name in staged] == ["summary", "curves"]
+        assert "No space left on device" in capsys.readouterr().err
+        # neither bundle file, nor a staged .summary.json.* or .curves.csv.*
+        assert list(out.iterdir()) == []
+
 
 def per_line_reference(stream) -> np.ndarray:
     """The stdin rules one line at a time: float(), retried after strip(), blank lines skipped."""
@@ -750,11 +819,14 @@ class TestGoldenBundles:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
-def test_commands_load_no_scipy(tmp_path):
-    """Importing the CLI and running each command loads no scipy module.
+SRC = Path(__file__).resolve().parents[1] / "src"
 
-    scipy costs most of a command's start-up time and no command needs it;
-    it stays a dependency only for ``exact_survival``.
+
+def test_commands_load_no_scipy(tmp_path):
+    """The package runs on numpy alone: no command imports scipy, even lazily.
+
+    scipy is a test dependency only. The subprocess blocks its import before
+    loading the CLI, so any scipy import on a command's path raises.
     """
     configs = {
         "estimate": write_config(
@@ -766,19 +838,31 @@ def test_commands_load_no_scipy(tmp_path):
     }
     script = (
         "import json, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
         "import gwt_lab.cli\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "seen = {'import': scipy_modules()}\n"
+        "seen = {}\n"
         "for command, path in json.loads(sys.argv[1]).items():\n"
-        "    status = gwt_lab.cli.main([command, '--config', path, '--out', path + '.out'])\n"
-        "    seen[command] = [status, scipy_modules()]\n"
+        "    seen[command] = gwt_lab.cli.main([command, '--config', path, '--out', path + '.out'])\n"
         "print(json.dumps(seen))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(configs)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == {"import": [], "estimate": [0, []], "bnn": [0, []], "closure": [0, []]}
+    assert seen == {"estimate": 0, "bnn": 0, "closure": 0}
+
+    scipy_imports = []
+    for path in sorted((SRC / "gwt_lab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            scipy_imports += [
+                f"{path.name}:{node.lineno}" for m in modules if m == "scipy" or m.startswith("scipy.")
+            ]
+    assert scipy_imports == []
