@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalOverflowError, OverflowAbortError, ParameterError, require_integer
 from .rng import RngStream
-from .tail_distributions import SYMMETRIC_FAMILIES, _symmetric_draws
+from .tail_distributions import FIXED_TAIL_BETA, SYMMETRIC_FAMILIES, _symmetric_draws
 
 SCALE_POLICIES = frozenset({"unit", "inv_sqrt_fan_in"})
 ACTIVATIONS = frozenset({"relu", "identity", "tanh"})
@@ -30,10 +30,6 @@ _INPUT_STREAM_ID = (1 << 64) - 1
 
 # fraction of replicates allowed to overflow before the run aborts
 OVERFLOW_ABORT_FRACTION = 1e-4
-
-# each prior family's tail parameter when a config states none; gaussian and
-# laplace admit no other, a generalized gaussian's is its shape
-PRIOR_TAIL_BETA = {"gaussian": 2.0, "laplace": 1.0, "generalized_gaussian": 2.0}
 
 
 @dataclass(frozen=True)
@@ -57,8 +53,8 @@ class LayerPrior:
             raise ParameterError(f"scale_policy must be one of {sorted(SCALE_POLICIES)}")
         if not self.tail_beta_w > 0:
             raise ParameterError("tail_beta_w must be > 0")
-        expected = PRIOR_TAIL_BETA[self.family]
-        if self.family != "generalized_gaussian" and self.tail_beta_w != expected:
+        expected = FIXED_TAIL_BETA.get(self.family, self.tail_beta_w)
+        if self.tail_beta_w != expected:
             raise ParameterError(
                 f"{self.family} prior has tail parameter {expected}, got {self.tail_beta_w}"
             )

@@ -22,7 +22,6 @@ from dataclasses import asdict
 import numpy as np
 
 from .bnn_sampler import (
-    PRIOR_TAIL_BETA,
     LayerPrior,
     NetworkConfig,
     predicted_tail_parameter,
@@ -38,7 +37,7 @@ from .errors import (
     ParameterError,
 )
 from .rng import RngStream
-from .tail_distributions import DistributionSpec, sample_iid
+from .tail_distributions import FIXED_TAIL_BETA, DistributionSpec, sample_iid
 from .tail_estimation import EmpiricalTail, FitWindow, estimate_with_points
 
 DESK_SCALE_N = 10**5
@@ -139,13 +138,16 @@ def parse_network(cfg: dict, seed: int, n_samples: int) -> NetworkConfig:
     priors = []
     for p in raw.get("priors", []):
         family = p.get("family", "gaussian")
-        beta_w = p.get("beta_w", PRIOR_TAIL_BETA.get(family, 2.0))  # LayerPrior refuses an unknown family
+        beta_w = p.get("beta_w", FIXED_TAIL_BETA.get(family, 2.0))  # LayerPrior refuses an unknown family
         priors.append(LayerPrior(family, float(beta_w), p.get("scale_policy", "inv_sqrt_fan_in")))
+    activation = raw.get("activation", "relu")
+    if activation == "tanh":  # bounded: the depth rule assumes ReLU-like linear growth
+        raise ConfigError("config.network.activation 'tanh' is refused: the depth rule holds for relu and identity")
     return NetworkConfig(
         input_dim=raw.get("input_dim", 0),
         widths=tuple(raw.get("widths", ())),
         layer_priors=tuple(priors),
-        activation=raw.get("activation", "relu"),
+        activation=activation,
         n_samples=n_samples,
         seed=seed,
     )

@@ -21,14 +21,7 @@ from .errors import (
     ParameterError,
 )
 from .rng import RngStream
-from .tail_distributions import (
-    BOUNDED,
-    GWT_NONNEG,
-    WT_REAL,
-    DistributionSpec,
-    TailClass,
-    sample_iid,
-)
+from .tail_distributions import SYMMETRIC_FAMILIES, DistributionSpec, sample_iid
 from .tail_estimation import (
     SIDE_ABSOLUTE,
     SIDE_RIGHT,
@@ -185,17 +178,17 @@ def check_sum_rule(
     """Sum of independent draws: the tail parameter is the minimum.
 
     Independent coordinates satisfy the positive-dependence condition, so
-    the minimum rule applies. Bounded summands (point masses) do not
-    constrain the minimum.
+    the minimum rule applies. Every summand must carry a ``tail_beta``
+    except point masses, which do not constrain the minimum; a power tail
+    (student_t) is refused.
     """
     specs = list(specs)
     if len(specs) < 2:
         raise ParameterError("sum rule needs at least two specs")
-    classes = [s.tail_class() for s in specs]
-    finite = [c.beta for c in classes if c.beta is not None]
+    finite = [s.tail_beta for s in specs if s.tail_beta is not None]
     if not finite:
         raise ParameterError("no summand carries a tail parameter")
-    if any(c.kind not in (WT_REAL, GWT_NONNEG, BOUNDED) for c in classes):
+    if any(s.tail_beta is None and s.family != "point_mass" for s in specs):
         raise ParameterError("sum rule applies to Weibull-like (or bounded) summands")
     total = np.zeros(n)
     for k, spec in enumerate(specs):
@@ -203,11 +196,11 @@ def check_sum_rule(
     return judge_tail(RULE_SUM_MIN, min(finite), total, SIDE_RIGHT, window)
 
 
-def _require_symmetric_real(spec: DistributionSpec, what: str) -> TailClass:
-    tc = spec.tail_class()
-    if tc.kind != WT_REAL or not tc.symmetric:
+def _require_symmetric_real(spec: DistributionSpec, what: str) -> float:
+    """The tail parameter of a family in SYMMETRIC_FAMILIES; any other family is refused."""
+    if spec.family not in SYMMETRIC_FAMILIES:
         raise ParameterError(f"{what} requires a symmetric real-line Weibull-like family")
-    return tc
+    return spec.tail_beta
 
 
 def check_product_rule(
@@ -219,8 +212,10 @@ def check_product_rule(
 ) -> ClosureReport:
     """Product of independent symmetric draws: reciprocals add.
 
-    Estimated on |XY| (absolute folding). A nonzero point mass acts as a
-    pure rescaling and leaves the other factor's tail parameter.
+    Estimated on |XY| (absolute folding). Each factor must be in
+    SYMMETRIC_FAMILIES, and the prediction composes their ``tail_beta``.
+    A nonzero point mass acts as a pure rescaling and leaves the other
+    factor's tail parameter.
     """
     pm_x = spec_x.family == "point_mass"
     pm_y = spec_y.family == "point_mass"
@@ -230,11 +225,11 @@ def check_product_rule(
         pm, other = (spec_x, spec_y) if pm_x else (spec_y, spec_x)
         if pm.params["value"] == 0:
             raise ParameterError("point-mass factor must be nonzero")
-        predicted = _require_symmetric_real(other, "product rule").beta
+        predicted = _require_symmetric_real(other, "product rule")
     else:
-        tc_x = _require_symmetric_real(spec_x, "product rule")
-        tc_y = _require_symmetric_real(spec_y, "product rule")
-        predicted = 1.0 / (1.0 / tc_x.beta + 1.0 / tc_y.beta)
+        beta_x = _require_symmetric_real(spec_x, "product rule")
+        beta_y = _require_symmetric_real(spec_y, "product rule")
+        predicted = 1.0 / (1.0 / beta_x + 1.0 / beta_y)
     x = sample_iid(spec_x, n, rng.child(0))
     y = sample_iid(spec_y, n, rng.child(1))
     return judge_tail(RULE_PRODUCT_HARMONIC, predicted, x * y, SIDE_ABSOLUTE, window)
@@ -248,13 +243,16 @@ def check_power_rule(
     window: FitWindow,
     rng: RngStream,
 ) -> ClosureReport:
-    """a |X|**b has tail parameter beta / b; the scale a changes nothing."""
+    """a |X|**b has tail parameter beta / b; the scale a changes nothing.
+
+    ``spec`` must be in SYMMETRIC_FAMILIES; ``beta`` is its ``tail_beta``.
+    """
     if a <= 0 or b <= 0:
         raise ParameterError("a and b must be > 0")
-    tc = _require_symmetric_real(spec, "power rule")
+    beta = _require_symmetric_real(spec, "power rule")
     x = sample_iid(spec, n, rng.child(0))
     transformed = a * np.abs(x) ** b
-    return judge_tail(RULE_POWER, tc.beta / b, transformed, SIDE_RIGHT, window)
+    return judge_tail(RULE_POWER, beta / b, transformed, SIDE_RIGHT, window)
 
 
 def negative_control_truncation(
@@ -468,8 +466,8 @@ def closure_suite(suite: str, seed: int, n: int, window: FitWindow):
         rep = negative_control_truncation(gauss, 10.0, n_pd, base.child(17), window)
         loose = rep.within_bound
         if rep.tail_estimate is not None:
-            tol = closure_tolerance(2.0, rep.tail_estimate.stderr_slope)
-            loose = loose and abs(rep.tail_estimate.beta_hat - 2.0) <= tol
+            tol = closure_tolerance(gauss.tail_beta, rep.tail_estimate.stderr_slope)
+            loose = loose and abs(rep.tail_estimate.beta_hat - gauss.tail_beta) <= tol
         yield _truncation_result("truncation_gaussian_m10", rep, loose)
         tail = EmpiricalTail.from_samples(sample_iid(DistributionSpec.student_t(3.0), n, base.child(18)))
         holds = {f"beta_{b}": check_subweibull_envelope(tail, 1.0 / b, window) for b in (0.5, 1.0, 2.0)}

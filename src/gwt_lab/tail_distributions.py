@@ -27,14 +27,6 @@ import numpy as np
 from .errors import ParameterError
 from .rng import RngStream
 
-# tail-class kinds
-WT_REAL = "WT_real"
-GWT_NONNEG = "GWT_nonneg"
-POWER_TAIL = "power_tail"
-BOUNDED = "bounded"
-_KINDS_WITH_BETA = frozenset({WT_REAL, GWT_NONNEG})
-_KINDS = frozenset({WT_REAL, GWT_NONNEG, POWER_TAIL, BOUNDED})
-
 # parameters each family requires (all but point_mass strictly positive)
 _FAMILY_PARAMS = {
     "gaussian": ("sigma",),
@@ -46,31 +38,13 @@ _FAMILY_PARAMS = {
     "point_mass": ("value",),
 }
 FAMILIES = frozenset(_FAMILY_PARAMS)
+# the tail parameter of the families that have no shape; a shape is its family's tail parameter
+FIXED_TAIL_BETA = {"gaussian": 2.0, "laplace": 1.0}
+# the families _symmetric_draws samples; network weight priors must be one of them
+SYMMETRIC_FAMILIES = frozenset({"gaussian", "laplace", "generalized_gaussian"})
 
 OSCILLATING_MIN_SHAPE = 2.0
 _INVERSION_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TailClass:
-    """Theoretical tail descriptor of a distribution.
-
-    ``beta`` is present exactly for the Weibull-like kinds; power tails and
-    bounded distributions carry no tail parameter.
-    """
-
-    kind: str
-    beta: float | None
-    symmetric: bool
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown tail-class kind {self.kind!r}")
-        if self.kind in _KINDS_WITH_BETA:
-            if self.beta is None or not self.beta > 0:
-                raise ParameterError(f"kind {self.kind!r} requires beta > 0")
-        elif self.beta is not None:
-            raise ParameterError(f"kind {self.kind!r} must not carry a beta")
 
 
 @dataclass(frozen=True)
@@ -138,22 +112,12 @@ class DistributionSpec:
 
     # -- theory ----------------------------------------------------------
 
-    def tail_class(self) -> TailClass:
-        """The family's theoretical tail descriptor."""
-        f, p = self.family, self.params
-        if f == "gaussian":
-            return TailClass(WT_REAL, 2.0, True)
-        if f == "laplace":
-            return TailClass(WT_REAL, 1.0, True)
-        if f == "generalized_gaussian":
-            return TailClass(WT_REAL, float(p["shape"]), True)
-        if f == "weibull":
-            return TailClass(GWT_NONNEG, float(p["shape"]), False)
-        if f == "oscillating_gwt":
-            return TailClass(GWT_NONNEG, float(p["shape"]), False)
-        if f == "student_t":
-            return TailClass(POWER_TAIL, None, True)
-        return TailClass(BOUNDED, None, p["value"] == 0.0)
+    @property
+    def tail_beta(self) -> float | None:
+        """The family's tail parameter; None for a power tail or a point mass."""
+        if self.family in FIXED_TAIL_BETA:
+            return FIXED_TAIL_BETA[self.family]
+        return float(self.params["shape"]) if "shape" in self.params else None
 
 
 # -- sampling -------------------------------------------------------------
@@ -188,10 +152,6 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
         return p["scale"] * g.standard_t(p["dof"], n)
     # point_mass
     return np.full(n, p["value"], dtype=np.float64)
-
-
-# the families _symmetric_draws samples; network weight priors must be one of them
-SYMMETRIC_FAMILIES = frozenset({"gaussian", "laplace", "generalized_gaussian"})
 
 
 def _symmetric_draws(gen: np.random.Generator, family: str, beta, scale: float, size) -> np.ndarray:

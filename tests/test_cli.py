@@ -124,7 +124,7 @@ VALID = {
     "min_points": [10],
     "input_dim": [2],
     "widths": [2],
-    "activation": ["relu", "tanh"],
+    "activation": ["relu", "identity", "tanh"],
     "family": ["gaussian", "laplace", "generalized_gaussian", "weibull"],
     "beta_w": [2.0],
     "scale_policy": ["unit"],
@@ -315,19 +315,30 @@ class TestBnnCommand:
         assert main(["bnn", "--config", path, "--out", str(tmp_path / "o")]) == 4
 
     def test_prior_tail_parameter_defaults_to_its_family(self, tmp_path, capsys):
-        bundles = []
-        for prior in ({"family": "laplace"}, {"family": "laplace", "beta_w": 1.0}):
-            net = {"input_dim": 300, "widths": [3, 3], "priors": [{"family": "gaussian"}, prior]}
-            path = bnn_config(tmp_path, network=net)
-            out = str(tmp_path / f"o{len(bundles)}")
-            assert main(["bnn", "--config", path, "--out", out]) == 0
-            bundles.append(read_bundle(out))
-        assert bundles[0] == bundles[1]
+        for family, beta_w in (("gaussian", 2.0), ("laplace", 1.0), ("generalized_gaussian", 2.0)):
+            bundles = []
+            for prior in ({"family": family}, {"family": family, "beta_w": beta_w}):
+                net = {"input_dim": 300, "widths": [3, 3], "priors": [{"family": "gaussian"}, prior]}
+                path = bnn_config(tmp_path, network=net)
+                out = str(tmp_path / f"{family}{len(bundles)}")
+                assert main(["bnn", "--config", path, "--out", out]) == 0
+                bundles.append(read_bundle(out))
+            assert bundles[0] == bundles[1], family
         # a stated value that does not match the family is still refused
         net = {"input_dim": 300, "widths": [3], "priors": [{"family": "laplace", "beta_w": 2.0}]}
         assert main(["bnn", "--config", bnn_config(tmp_path, network=net), "--out", str(tmp_path / "x")]) == 2
         assert "laplace prior has tail parameter 1.0, got 2.0" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_tanh_is_refused_before_sampling(self, tmp_path, capsys):
+        """tanh is bounded, so the depth rule each layer's verdict compares with does not hold for it."""
+        net = {"input_dim": 300, "widths": [3, 3], "activation": "tanh", "priors": [{"family": "gaussian"}] * 2}
+        path = bnn_config(tmp_path, network=net)
+        with mock.patch("gwt_lab.cli.run_prior_monte_carlo", wraps=cli.run_prior_monte_carlo) as sampler:
+            assert main(["bnn", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        sampler.assert_not_called()
+        assert "config.network.activation" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_overflow_abort_status(self, tmp_path):
         path = write_config(

@@ -220,6 +220,32 @@ class TestPowerRule:
             check_power_rule(DistributionSpec.gaussian(), 1.0, 0.0, N, WINDOW, RngStream(44))
 
 
+# each rule's refusal of a family outside its precondition, with the start of its message
+NOT_SYMMETRIC = (DistributionSpec.weibull(1.5), DistributionSpec.oscillating_gwt(2.0), DistributionSpec.student_t(3.0))
+REFUSED = [
+    ("sum", DistributionSpec.student_t(3.0)),
+    *[(rule, spec) for rule in ("product", "power") for spec in NOT_SYMMETRIC],
+    ("power", DistributionSpec.point_mass(1.0)),
+]
+REFUSAL_MESSAGES = {
+    "sum": "sum rule applies to Weibull-like",
+    "product": "product rule requires a symmetric real-line",
+    "power": "power rule requires a symmetric real-line",
+}
+
+
+@pytest.mark.parametrize("rule, spec", REFUSED, ids=[f"{rule}_{spec.family}" for rule, spec in REFUSED])
+def test_rule_refuses_a_family_outside_its_precondition(rule, spec):
+    gauss = DistributionSpec.gaussian()
+    checks = {
+        "sum": lambda: check_sum_rule([gauss, spec], N, WINDOW, RngStream(1)),
+        "product": lambda: check_product_rule(gauss, spec, N, WINDOW, RngStream(1)),
+        "power": lambda: check_power_rule(spec, 1.0, 2.0, N, WINDOW, RngStream(1)),
+    }
+    with pytest.raises(ParameterError, match=REFUSAL_MESSAGES[rule]):
+        checks[rule]()
+
+
 class TestTruncationControl:
     def test_sums_capped_exactly(self):
         report = negative_control_truncation(DistributionSpec.gaussian(), 1.0, N, RngStream(51))

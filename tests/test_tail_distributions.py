@@ -9,10 +9,9 @@ from gwt_lab import (
     DistributionSpec,
     ParameterError,
     RngStream,
-    TailClass,
     sample_iid,
 )
-from gwt_lab.tail_distributions import _invert_oscillating_survival, _oscillating_exponent
+from gwt_lab.tail_distributions import FAMILIES, _invert_oscillating_survival, _oscillating_exponent
 
 N_BIG = 10**6
 
@@ -81,28 +80,24 @@ class TestDistributionSpec:
 
     @given(st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     @settings(max_examples=30, deadline=None)
-    def test_generalized_gaussian_tail_class_tracks_shape(self, shape):
-        tc = DistributionSpec.generalized_gaussian(shape).tail_class()
-        assert tc.kind == "WT_real"
-        assert tc.beta == pytest.approx(shape)
-        assert tc.symmetric
+    def test_generalized_gaussian_tail_beta_tracks_shape(self, shape):
+        assert DistributionSpec.generalized_gaussian(shape).tail_beta == pytest.approx(shape)
 
-    def test_tail_class_mapping(self):
-        assert DistributionSpec.gaussian().tail_class() == TailClass("WT_real", 2.0, True)
-        assert DistributionSpec.laplace().tail_class() == TailClass("WT_real", 1.0, True)
-        assert DistributionSpec.weibull(0.7).tail_class() == TailClass("GWT_nonneg", 0.7, False)
-        t = DistributionSpec.student_t(3.0).tail_class()
-        assert t.kind == "power_tail" and t.beta is None
-        pm = DistributionSpec.point_mass(1.0).tail_class()
-        assert pm.kind == "bounded" and pm.beta is None
-
-    def test_tail_class_invariants(self):
-        with pytest.raises(ParameterError):
-            TailClass("power_tail", 2.0, True)  # beta not allowed
-        with pytest.raises(ParameterError):
-            TailClass("WT_real", None, True)  # beta required
-        with pytest.raises(ParameterError):
-            TailClass("WT_real", -1.0, True)
+    def test_tail_beta_mapping(self):
+        cases = [
+            (DistributionSpec.gaussian(3.0), 2.0),
+            (DistributionSpec.laplace(0.5), 1.0),
+            (DistributionSpec.generalized_gaussian(3), 3.0),
+            (DistributionSpec.weibull(0.7), 0.7),
+            (DistributionSpec.oscillating_gwt(2.5), 2.5),
+            (DistributionSpec.student_t(3.0), None),
+            (DistributionSpec.point_mass(1.0), None),
+        ]
+        assert {spec.family for spec, _ in cases} == FAMILIES
+        for spec, beta in cases:
+            assert spec.tail_beta == beta, spec.family
+        # predicted_beta is serialized: an int shape must still print as 3.0
+        assert repr(DistributionSpec.generalized_gaussian(3).tail_beta) == "3.0"
 
 
 class TestSampleIid:
