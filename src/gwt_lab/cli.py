@@ -318,11 +318,13 @@ def cmd_estimate_tail(cfg: dict, out_dir: str, seed: int, n_samples: int, stdin=
     else:
         samples = _read_stdin_samples(stdin if stdin is not None else sys.stdin)
         label = "samples"
-    est, pts = estimate_with_points(EmpiricalTail.from_samples(samples, side="right"), window)
+    # the command owns its samples: the fold partitions them in place and keeps the window's top block
+    tail = EmpiricalTail.from_samples(samples, side="right", q_keep=window.q_lo, overwrite=True)
+    est, pts = estimate_with_points(tail, window)
     summary = {
         "command": "estimate",
         "seed": seed,
-        "n": int(samples.size),
+        "n": tail.n,
         "label": label,
         **est.to_dict(),
     }

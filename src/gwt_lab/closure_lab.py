@@ -30,7 +30,6 @@ from .tail_estimation import (
     TailEstimate,
     _sorted_quantiles,
     check_subweibull_envelope,
-    empirical_survival,
     estimate_with_points,
 )
 
@@ -165,7 +164,8 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT) -> PDEstimate:
 
 def judge_tail(rule: str, predicted: float, samples, side: str, window: FitWindow) -> ClosureReport:
     """Fit the tail of ``samples`` folded on ``side`` and judge it against ``predicted``."""
-    estimate, points = estimate_with_points(EmpiricalTail.from_samples(samples, side=side), window)
+    tail = EmpiricalTail.from_samples(samples, side=side, q_keep=window.q_lo)
+    estimate, points = estimate_with_points(tail, window)
     return ClosureReport(rule, predicted, estimate, closure_tolerance(predicted, estimate.stderr_slope), points)
 
 
@@ -280,9 +280,11 @@ def negative_control_truncation(
     del flip
     pd = estimate_pd_constant(xy)
     sums = xy[:, 0] + xy[:, 1]
-    del xy  # before the fold sorts its copy of the sums
-    tail = EmpiricalTail.from_samples(sums, side=SIDE_RIGHT)
-    beyond = float(empirical_survival(tail, 2.0 * m * (1.0 + 1e-12)))
+    del xy
+    # the bound facts read every sum: the fold keeps only the order statistics from q_lo up
+    max_abs_sum = float(np.abs(sums).max())
+    beyond = np.count_nonzero(sums >= 2.0 * m * (1.0 + 1e-12)) / sums.size
+    tail = EmpiricalTail.from_samples(sums, side=SIDE_RIGHT, q_keep=window.q_lo, overwrite=True)
     outcome, estimate, points = "estimate", None, None
     try:
         estimate, points = estimate_with_points(tail, window)
@@ -290,7 +292,6 @@ def negative_control_truncation(
         outcome = "degenerate"
     except InsufficientDataError:
         outcome = "insufficient_data"
-    max_abs_sum = float(np.abs(tail.sorted_samples[[0, -1]]).max())
     return TruncationReport(
         m=m,
         bound=2.0 * m,
@@ -469,7 +470,8 @@ def closure_suite(suite: str, seed: int, n: int, window: FitWindow):
             tol = closure_tolerance(gauss.tail_beta, rep.tail_estimate.stderr_slope)
             loose = loose and abs(rep.tail_estimate.beta_hat - gauss.tail_beta) <= tol
         yield _truncation_result("truncation_gaussian_m10", rep, loose)
-        tail = EmpiricalTail.from_samples(sample_iid(DistributionSpec.student_t(3.0), n, base.child(18)))
+        t3 = sample_iid(DistributionSpec.student_t(3.0), n, base.child(18))
+        tail = EmpiricalTail.from_samples(t3, q_keep=window.q_lo)
         holds = {f"beta_{b}": check_subweibull_envelope(tail, 1.0 / b, window) for b in (0.5, 1.0, 2.0)}
         fields = {"envelope_holds": holds, "expected_fail_of_envelopes": True}
         yield CheckResult("student_t_weibull_envelopes", "negative", not any(holds.values()), fields)

@@ -85,32 +85,45 @@ class FitWindow:
 
 @dataclass(frozen=True)
 class EmpiricalTail:
-    """A sorted sample set folded onto the right tail.
+    """The top order statistics of a sample set folded onto the right tail.
 
     Right tails are analyzed as they are, absolute tails as right tails
-    of ``|X|``. ``sorted_samples`` holds the folded values, ascending.
+    of ``|X|``. ``sorted_samples`` holds the folded values, ascending,
+    from the order statistic at the ``q_keep`` quantile and its ties up;
+    ``n_below`` values lie below them, and nothing reads there.
     """
 
     sorted_samples: np.ndarray
+    n_below: int
+    q_keep: float
 
     @property
     def n(self) -> int:
-        return self.sorted_samples.size
+        return self.n_below + self.sorted_samples.size
 
     @classmethod
-    def from_samples(cls, samples, side: str = SIDE_RIGHT) -> "EmpiricalTail":
+    def from_samples(
+        cls, samples, side: str = SIDE_RIGHT, q_keep: float = 0.0, overwrite: bool = False
+    ) -> "EmpiricalTail":
+        """Fold ``samples``; ``overwrite=True`` reorders a float64 array in place, like scipy's ``overwrite_a``."""
         if side not in _SIDES:
             raise ParameterError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
+        if not 0.0 <= q_keep < 1.0:
+            raise ParameterError(f"need 0 <= q_keep < 1, got {q_keep}")
         x = np.asarray(samples, dtype=np.float64).ravel()
         if x.size == 0:
             raise DomainError("empty sample set")
         if not np.isfinite(x).all():
             raise DomainError("samples must be finite")
-        if side == SIDE_ABSOLUTE:
-            x = np.abs(x)
-            x.sort()  # the folded copy is ours to sort in place
-            return cls(x)
-        return cls(np.sort(x))
+        n = x.size
+        x = np.abs(x) if side == SIDE_ABSOLUTE else x if overwrite else x.copy()
+        k = int((n - 1) * float(q_keep))  # the index _sorted_quantiles reads at q_keep
+        if k:
+            x.partition(k)
+            low = x[:k]
+            x = np.concatenate([low[low == x[k]], x[k:]])
+        x.sort()
+        return cls(x, n - x.size, q_keep)
 
 
 @dataclass(frozen=True)
@@ -133,24 +146,26 @@ class TailEstimate:
 
 
 def empirical_survival(tail: EmpiricalTail, x):
-    """Empirical P(X >= x) = #{i : X_i >= x} / n on the folded samples."""
+    """Empirical P(X >= x) = #{i : X_i >= x} / n on the folded samples; refused below the kept block."""
     xs = np.asarray(x, dtype=np.float64)
-    idx = np.searchsorted(tail.sorted_samples, xs, side="left")
+    if tail.n_below and np.any(xs < tail.sorted_samples[0]):
+        raise DomainError(f"survival below the kept order statistics (x < {tail.sorted_samples[0]:g})")
+    idx = tail.n_below + np.searchsorted(tail.sorted_samples, xs, side="left")
     out = (tail.n - idx) / tail.n
     return out if out.ndim else float(out)
 
 
-def _sorted_quantiles(s: np.ndarray, qs) -> np.ndarray:
-    """``np.quantile(s, qs)`` of an ascending 1-d ``s``, read by index instead of a partitioned copy.
+def _sorted_quantiles(s: np.ndarray, qs, n_below: int = 0) -> np.ndarray:
+    """``np.quantile`` of n_below + s.size values whose top ones are the ascending ``s``, read by index.
 
     Bit for bit numpy's default 'linear' method for qs in [0, 1], down to
     its ``_lerp``, which interpolates from the upper neighbour when t >= 0.5.
     """
-    last = s.size - 1
+    last = n_below + s.size - 1
     virtual = last * np.asarray(qs, dtype=np.float64)
     below = np.floor(virtual)
-    a = s[np.minimum(below, last).astype(np.intp)]
-    b = s[np.minimum(below + 1, last).astype(np.intp)]
+    a = s[np.minimum(below, last).astype(np.intp) - n_below]
+    b = s[np.minimum(below + 1, last).astype(np.intp) - n_below]
     t = virtual - below
     diff = b - a
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
@@ -166,9 +181,12 @@ def loglog_points(tail: EmpiricalTail, window: FitWindow) -> np.ndarray:
     min_points guard on small samples.
 
     Returns an array of shape (k, 2). Raises InsufficientDataError when
-    fewer than ``window.min_points`` informative points remain.
+    fewer than ``window.min_points`` informative points remain, and
+    ParameterError when the window starts below the tail's ``q_keep``.
     """
-    x_lo, x_hi = _sorted_quantiles(tail.sorted_samples, (window.q_lo, window.q_hi))
+    if window.q_lo < tail.q_keep:
+        raise ParameterError(f"fit window starts at q_lo = {window.q_lo}, below the kept q_keep = {tail.q_keep}")
+    x_lo, x_hi = _sorted_quantiles(tail.sorted_samples, (window.q_lo, window.q_hi), tail.n_below)
     if not x_lo > 0:
         raise DomainError(
             f"fit window starts at x = {x_lo:g}; tail grid needs x > 0 after folding"

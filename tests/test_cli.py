@@ -417,6 +417,33 @@ class TestEstimateCommand:
         np.testing.assert_array_equal(samples, values)
         assert peak < 3 * samples.nbytes
 
+    def test_estimate_holds_one_sample_array(self, tmp_path, monkeypatch):
+        """Past parsing, the command holds its parsed array and little else.
+
+        The fold partitions that array in place and keeps the window's top
+        block, where a full sort held a second n-length copy (2.30 arrays).
+        The peak is taken from the end of parsing: ``np.fromiter`` reserves
+        up to 1.5 n while it grows, which ``test_stdin_reader_keeps_no_float_per_line``
+        bounds.
+        """
+        values = np.random.default_rng(7).standard_normal(200_000)
+        stream = io.StringIO("".join(format(v, ".17g") + "\n" for v in values))
+
+        def parse_then_reset_peak(stream):
+            samples = _read_stdin_samples(stream)
+            tracemalloc.reset_peak()
+            return samples
+
+        monkeypatch.setattr(cli, "_read_stdin_samples", parse_then_reset_peak)
+        tracemalloc.start()
+        try:
+            assert cli.cmd_estimate_tail({}, str(tmp_path / "o"), 1, 0, stdin=stream) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["n"] == values.size
+        assert peak < 1.5 * values.nbytes
+
     def test_stdin_not_utf8(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1.0\n\xff\xfe\n"), encoding="utf-8"))
         assert main(["estimate", "--out", str(tmp_path / "o")]) == 2
@@ -811,7 +838,19 @@ GOLDEN_BUNDLES = {
             "curves.csv": "16d55e6d329635e74f03cc4b4902de0e3b65c574558e048d0e406a9698923059",
         },
     ),
+    # read from TIE_HEAVY_STDIN: hundreds of values tie at the window's q_lo quantile
+    "estimate_stdin": (
+        {"command": "estimate", "seed": 3},
+        0,
+        {
+            "summary.json": "c8b0622d03ebc8a90761653df6862c1123bdbe080cb0b777318579419ca85b9a",
+            "curves.csv": "c3b1efd8a702096f20a8b8250e34b7cdcca3d4a673c8387483ede816b36c67c7",
+        },
+    ),
 }
+# 1e5 standard normals rounded to 1/50, one per line
+TIE_HEAVY_VALUES = np.round(np.random.default_rng(9).standard_normal(10**5) * 50) / 50
+TIE_HEAVY_STDIN = "".join(f"{v!r}\n" for v in TIE_HEAVY_VALUES.tolist())
 
 
 class TestGoldenBundles:
@@ -825,8 +864,9 @@ class TestGoldenBundles:
         """
         cfg, status, digests = GOLDEN_BUNDLES[command]
         monkeypatch.setenv("GWT_LAB_THREADS", "2")
+        monkeypatch.setattr("sys.stdin", io.StringIO(TIE_HEAVY_STDIN))
         out = tmp_path / "o"
-        assert main([command, "--config", write_config(tmp_path, **cfg), "--out", str(out)]) == status
+        assert main([cfg["command"], "--config", write_config(tmp_path, **cfg), "--out", str(out)]) == status
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
 
 

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from gwt_lab import (
+    DegenerateTailError,
     DistributionSpec,
     DomainError,
+    EmpiricalTail,
     FitWindow,
     InsufficientDataError,
     ParameterError,
@@ -19,12 +21,15 @@ from gwt_lab import (
     check_product_rule,
     check_sum_rule,
     closure_tolerance,
+    empirical_survival,
     estimate_pd_constant,
     negative_control_truncation,
+    sample_iid,
     weight_unit_product_samples,
 )
 from gwt_lab import closure_lab
 from gwt_lab.closure_lab import PRODUCT_NET_HIDDEN_WIDTH, PRODUCT_NET_INPUT_DIM, closure_suite
+from gwt_lab.tail_estimation import estimate_with_points
 
 N = 2 * 10**5
 N_WIDE = 10**6  # gaussian-family checks at beta = 2 need the full-scale window
@@ -266,9 +271,32 @@ class TestTruncationControl:
         with pytest.raises(ParameterError):
             negative_control_truncation(DistributionSpec.gaussian(), 0.0, N, RngStream(53))
 
+    @pytest.mark.parametrize("seed", [55, 56])
+    @pytest.mark.parametrize("m", [1.0, 10.0])
+    def test_report_matches_full_sort(self, m, seed):
+        """The bound facts and the fit read as they do off a full sort of the sums."""
+        spec = DistributionSpec.gaussian()
+        x = sample_iid(spec, N, RngStream(seed).child(0))
+        sums = x + np.where(np.abs(x) > m, -x, x)
+        full = EmpiricalTail.from_samples(sums)
+        try:
+            outcome, (estimate, points) = "estimate", estimate_with_points(full, WINDOW)
+        except DegenerateTailError:
+            outcome, estimate, points = "degenerate", None, None
+        except InsufficientDataError:
+            outcome, estimate, points = "insufficient_data", None, None
+        report = negative_control_truncation(spec, m, N, RngStream(seed), WINDOW)
+        assert report.max_abs_sum == float(np.abs(full.sorted_samples[[0, -1]]).max())
+        assert report.survival_beyond_bound == empirical_survival(full, 2.0 * m * (1.0 + 1e-12))
+        assert report.within_bound == (report.max_abs_sum <= 2.0 * m)
+        assert (report.tail_outcome, report.tail_estimate) == (outcome, estimate)
+        assert (report.points is None) == (points is None)
+        if points is not None:
+            assert report.points.tobytes() == points.tobytes()
+
     @pytest.mark.parametrize("m", [1.0, 10.0])
     def test_holds_few_sample_arrays(self, m):
-        """X and Y share one (n, 2) matrix, and it is gone before the tail's sorted copy is made."""
+        """X and Y share one (n, 2) matrix, and it is gone before the fold partitions the sums in place."""
         # a first call at the smallest PD size loads the modules numpy imports lazily
         negative_control_truncation(DistributionSpec.gaussian(), m, 10**5, RngStream(54))
         _, peak = traced_peak_bytes(lambda: negative_control_truncation(DistributionSpec.gaussian(), m, N, RngStream(54)))

@@ -84,6 +84,94 @@ class TestFolding:
             EmpiricalTail.from_samples([1.0], side="up")
 
 
+def fit_outcome(tail, window):
+    """The bytes of a tail's log-log points and its estimate, or the error that refused them."""
+    try:
+        return loglog_points(tail, window).tobytes(), estimate_tail_index(tail, window)
+    except (DomainError, InsufficientDataError, DegenerateTailError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPartialFold:
+    """A tail kept from q_keep up fits bit for bit as the full sort does."""
+
+    @pytest.mark.parametrize("side", ["right", "absolute"])
+    def test_ties_at_the_cut(self, side):
+        x = np.round(np.random.default_rng(3).standard_normal(10**5) * 50) / 50
+        window = FitWindow()
+        full = EmpiricalTail.from_samples(x, side=side)
+        part = EmpiricalTail.from_samples(x, side=side, q_keep=window.q_lo)
+        k = int(np.floor((x.size - 1) * window.q_lo))
+        assert part.n == full.n == x.size
+        assert part.n_below < k  # values tied with the k-th order statistic are kept
+        np.testing.assert_array_equal(part.sorted_samples, full.sorted_samples[part.n_below:])
+        points, estimate = fit_outcome(part, window)
+        assert (points, estimate) == fit_outcome(full, window)
+
+    @pytest.mark.parametrize("values", [[2.5], [1.0, 3.0], [-1.0, -1.0]])
+    def test_one_and_two_samples(self, values):
+        window = FitWindow()
+        part = EmpiricalTail.from_samples(values, q_keep=window.q_lo)
+        assert part.n == len(values)
+        assert fit_outcome(part, window) == fit_outcome(EmpiricalTail.from_samples(values), window)
+
+    def test_q_keep_zero_is_the_full_sort(self):
+        x = np.random.default_rng(4).standard_normal(1001)
+        tail = EmpiricalTail.from_samples(x, q_keep=0.0)
+        assert tail.n_below == 0
+        assert tail.sorted_samples.tobytes() == np.sort(x).tobytes()
+
+    @given(
+        st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=300),
+        st.floats(min_value=0.0, max_value=0.6),
+        st.sampled_from(["right", "absolute"]),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, values, q_keep, side, rounded):
+        x = np.round(np.asarray(values)) if rounded else np.asarray(values)
+        window = FitWindow(q_lo=0.6, q_hi=0.99, grid_size=40, min_points=8)
+        part = EmpiricalTail.from_samples(x, side=side, q_keep=q_keep)
+        full = EmpiricalTail.from_samples(x, side=side)
+        assert part.n == x.size
+        assert fit_outcome(part, window) == fit_outcome(full, window)
+        probes = part.sorted_samples[[0, -1]] + [0.0, 1.0]
+        assert empirical_survival(part, probes).tobytes() == empirical_survival(full, probes).tobytes()
+
+    def test_window_below_q_keep_refused(self):
+        tail = EmpiricalTail.from_samples(exact_weibull(1.0, 10**4, 5), q_keep=0.95)
+        with pytest.raises(ParameterError, match="q_keep"):
+            loglog_points(tail, FitWindow(q_lo=0.9))
+        with pytest.raises(ParameterError, match="q_keep"):
+            estimate_tail_index(tail, FitWindow(q_lo=0.9))
+
+    def test_survival_below_block_refused(self):
+        x = np.arange(100.0)
+        tail = EmpiricalTail.from_samples(x, q_keep=0.5)
+        assert tail.sorted_samples[0] == 49.0
+        assert empirical_survival(tail, 49.0) == 0.51
+        with pytest.raises(DomainError, match="below the kept"):
+            empirical_survival(tail, [60.0, 48.5])
+
+    @pytest.mark.parametrize("q_keep", [-0.1, 1.0, np.nan])
+    def test_q_keep_out_of_range(self, q_keep):
+        with pytest.raises(ParameterError, match="q_keep"):
+            EmpiricalTail.from_samples([1.0, 2.0], q_keep=q_keep)
+
+    @pytest.mark.parametrize("q_keep", [0.0, 0.95])
+    def test_caller_array_unchanged_without_overwrite(self, q_keep):
+        x = np.random.default_rng(6).standard_normal(1000)
+        before = x.tobytes()
+        EmpiricalTail.from_samples(x, q_keep=q_keep)
+        assert x.tobytes() == before
+
+    def test_overwrite_partitions_in_place(self):
+        x = np.random.default_rng(6).standard_normal(1000)
+        kept = EmpiricalTail.from_samples(x.copy(), q_keep=0.95).sorted_samples
+        EmpiricalTail.from_samples(x, q_keep=0.95, overwrite=True)
+        np.testing.assert_array_equal(np.sort(x[-kept.size:]), kept)
+
+
 class TestFitWindow:
     def test_bad_quantiles(self):
         with pytest.raises(ParameterError):
