@@ -73,6 +73,7 @@ class NetworkConfig:
 
     def __post_init__(self):
         require_integer("input_dim", self.input_dim)
+        require_integer("n_samples", self.n_samples)
         widths = tuple(self.widths)
         for w in widths:
             require_integer("widths entry", w)

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .rng import RngStream
 from .tail_distributions import FIXED_TAIL_BETA, DistributionSpec, sample_iid
-from .tail_estimation import EmpiricalTail, FitWindow, estimate_with_points
+from .tail_estimation import FitWindow, estimate_with_points
 
 DESK_SCALE_N = 10**5
 DEFAULT_OUT_DIR = "gwt-lab-out"
@@ -164,21 +164,25 @@ def parse_distribution(cfg: dict) -> DistributionSpec | None:
 # ----------------------------- output ---------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _json_default(value):
+    """numpy arrays and scalars as the lists and numbers json writes; anything else is refused."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def write_bundle(out_dir: str, summary: dict, curve_rows) -> None:
+def write_bundle(out_dir: str, summary: dict, curves: dict) -> None:
     """Atomically write summary.json and curves.csv into out_dir.
 
-    curve_rows is an iterable of (label, log_x, log_neg_log_survival).
+    ``curves`` maps each label to the (k, 2) log-log points its estimate was
+    fitted on. This is the one place numpy values become JSON or CSV text.
     """
-    os.makedirs(out_dir, exist_ok=True)
     payloads = {
-        "summary.json": json.dumps(summary, indent=2) + "\n",
+        "summary.json": json.dumps(summary, indent=2, default=_json_default) + "\n",
         "curves.csv": "label,log_x,log_neg_log_survival\n"
-        + "".join(f"{label},{_fmt(lx)},{_fmt(ly)}\n" for label, lx, ly in curve_rows),
+        + "".join(f"{label},{lx:.17g},{ly:.17g}\n" for label, pts in curves.items() for lx, ly in pts.tolist()),
     }
+    os.makedirs(out_dir, exist_ok=True)
     staged = []
     try:
         for name, text in payloads.items():
@@ -197,10 +201,6 @@ def write_bundle(out_dir: str, summary: dict, curve_rows) -> None:
         raise
 
 
-def _points_rows(label: str, points: np.ndarray):
-    return [(label, float(p[0]), float(p[1])) for p in points]
-
-
 # ----------------------------- commands --------------------------------
 
 
@@ -209,7 +209,7 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int, worke
     netcfg = parse_network(cfg, seed, n_samples)
     trace = run_prior_monte_carlo(netcfg, workers)
     layers = []
-    rows = []
+    curves = {}
     for l in range(netcfg.depth):
         predicted = predicted_tail_parameter(netcfg.layer_priors, l + 1)
         samples = trace.g[l]
@@ -221,19 +221,19 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int, worke
             {
                 "layer": l + 1,
                 "predicted_beta": predicted,
-                **report.estimated.to_dict(),
+                **asdict(report.estimated),
                 "tolerance": report.tolerance,
                 "within_tolerance": report.passed,
             }
         )
-        rows.extend(_points_rows(f"layer{l + 1}", report.points))
+        curves[f"layer{l + 1}"] = report.points
     summary = {
         "command": "bnn",
         "seed": seed,
         "n_samples": n_samples,
         "network": {
             "input_dim": netcfg.input_dim,
-            "widths": list(netcfg.widths),
+            "widths": netcfg.widths,
             "activation": netcfg.activation,
             "priors": [
                 {"family": p.family, "beta_w": p.tail_beta_w, "scale_policy": p.scale_policy}
@@ -242,10 +242,10 @@ def cmd_bnn_experiment(cfg: dict, out_dir: str, seed: int, n_samples: int, worke
         },
         "fit_window": asdict(window),
         "degenerate_input": trace.degenerate_input,
-        "overflow_count": int(trace.overflow_replicates.size),
+        "overflow_count": trace.overflow_replicates.size,
         "layers": layers,
     }
-    write_bundle(out_dir, summary, rows)
+    write_bundle(out_dir, summary, curves)
     print(f"{'layer':>5} {'predicted':>10} {'estimated':>10} {'stderr':>8}  in-band")
     for rec in layers:
         print(
@@ -319,16 +319,15 @@ def cmd_estimate_tail(cfg: dict, out_dir: str, seed: int, n_samples: int, stdin=
         samples = _read_stdin_samples(stdin if stdin is not None else sys.stdin)
         label = "samples"
     # the command owns its samples: the fold partitions them in place and keeps the window's top block
-    tail = EmpiricalTail.from_samples(samples, side="right", q_keep=window.q_lo, overwrite=True)
-    est, pts = estimate_with_points(tail, window)
+    est, pts = estimate_with_points(samples, "right", window, overwrite=True)
     summary = {
         "command": "estimate",
         "seed": seed,
-        "n": tail.n,
+        "n": samples.size,
         "label": label,
-        **est.to_dict(),
+        **asdict(est),
     }
-    write_bundle(out_dir, summary, _points_rows(label, pts))
+    write_bundle(out_dir, summary, {label: pts})
     print(f"beta_hat = {est.beta_hat:.4f} (stderr {est.stderr_slope:.4f}, {est.fit_points} points)")
     return 0
 
@@ -337,11 +336,11 @@ def cmd_closure_suite(cfg: dict, out_dir: str, seed: int, n_samples: int) -> int
     suite = cfg.get("suite", "all")
     window = parse_fit_window(cfg)
     reports = []
-    rows = []
+    curves = {}
     for result in closure_suite(suite, seed, n_samples, window):
         reports.append(result.to_dict())
         if result.points is not None:
-            rows.extend(_points_rows(result.name, result.points))
+            curves[result.name] = result.points
         print(f"{result.name:<34} {reports[-1]['verdict']}")
     summary = {
         "command": "closure",
@@ -350,7 +349,7 @@ def cmd_closure_suite(cfg: dict, out_dir: str, seed: int, n_samples: int) -> int
         "n_samples": n_samples,
         "reports": reports,
     }
-    write_bundle(out_dir, summary, rows)
+    write_bundle(out_dir, summary, curves)
     return 0 if all(rec["verdict"] == "pass" for rec in reports) else 1
 
 

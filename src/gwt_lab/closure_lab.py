@@ -10,7 +10,7 @@ these rules and for the per-layer depth rule of ``gwt-lab bnn``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,9 +71,9 @@ class PDEstimate:
     """
 
     c_hat: float
+    side: str
     z_grid: np.ndarray
     per_z_conditional: np.ndarray
-    side: str
     cell_events: np.ndarray
 
 
@@ -164,8 +164,7 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT) -> PDEstimate:
 
 def judge_tail(rule: str, predicted: float, samples, side: str, window: FitWindow) -> ClosureReport:
     """Fit the tail of ``samples`` folded on ``side`` and judge it against ``predicted``."""
-    tail = EmpiricalTail.from_samples(samples, side=side, q_keep=window.q_lo)
-    estimate, points = estimate_with_points(tail, window)
+    estimate, points = estimate_with_points(samples, side, window)
     return ClosureReport(rule, predicted, estimate, closure_tolerance(predicted, estimate.stderr_slope), points)
 
 
@@ -284,10 +283,9 @@ def negative_control_truncation(
     # the bound facts read every sum: the fold keeps only the order statistics from q_lo up
     max_abs_sum = float(np.abs(sums).max())
     beyond = np.count_nonzero(sums >= 2.0 * m * (1.0 + 1e-12)) / sums.size
-    tail = EmpiricalTail.from_samples(sums, side=SIDE_RIGHT, q_keep=window.q_lo, overwrite=True)
     outcome, estimate, points = "estimate", None, None
     try:
-        estimate, points = estimate_with_points(tail, window)
+        estimate, points = estimate_with_points(sums, SIDE_RIGHT, window, overwrite=True)
     except DegenerateTailError:
         outcome = "degenerate"
     except InsufficientDataError:
@@ -355,8 +353,8 @@ _TRUNCATION_FIELDS = ("m", "bound", "max_abs_sum", "within_bound", "survival_bey
 class CheckResult:
     """One verdict of the canned closure suite.
 
-    ``fields`` holds the check's JSON-ready details; ``points`` holds the
-    log-log points its tail estimate was fitted on, if it made one.
+    ``fields`` holds the record's details, numpy values as they are;
+    ``points`` the log-log points its tail estimate was fitted on, if any.
     """
 
     name: str
@@ -375,40 +373,30 @@ class CheckResult:
 
 
 def _rule_result(name: str, report: ClosureReport) -> CheckResult:
-    fields = {"rule": report.rule, "predicted_beta": report.predicted_beta, **report.estimated.to_dict()}
+    fields = {"rule": report.rule, "predicted_beta": report.predicted_beta, **asdict(report.estimated)}
     return CheckResult(name, "closure", report.passed, fields, report.points)
-
-
-def _pd_dict(pd: PDEstimate) -> dict:
-    return {
-        "c_hat": pd.c_hat,
-        "side": pd.side,
-        "z_grid": [float(z) for z in pd.z_grid],
-        "per_z_conditional": [float(p) for p in pd.per_z_conditional],
-        "cell_events": [int(c) for c in pd.cell_events],
-    }
 
 
 def _truncation_result(name: str, rep: TruncationReport, passed: bool, **extra) -> CheckResult:
     fields = {
         "truncation": {key: getattr(rep, key) for key in _TRUNCATION_FIELDS},
-        "pd": _pd_dict(rep.pd),
+        "pd": asdict(rep.pd),
     }
     if rep.tail_estimate is not None:
-        fields["tail_estimate"] = rep.tail_estimate.to_dict()
+        fields["tail_estimate"] = asdict(rep.tail_estimate)
     return CheckResult(name, "negative", bool(passed), {**fields, **extra}, rep.points)
 
 
 def _pd_independent_result(name: str, n_coords: int, expected: float, n: int, rng: RngStream) -> CheckResult:
     pd = estimate_pd_constant(rng.generator().standard_normal((n, n_coords)))
-    return CheckResult(name, "pd", abs(pd.c_hat - expected) <= 0.05, {"pd": _pd_dict(pd)})
+    return CheckResult(name, "pd", abs(pd.c_hat - expected) <= 0.05, {"pd": asdict(pd)})
 
 
 def _pd_counter_monotone_result(n: int, rng: RngStream) -> CheckResult:
     x = rng.generator().standard_normal(n)
     pd = estimate_pd_constant(np.column_stack([x, -x]))
     # PD is expected to fail here; the control passes when c_hat is tiny
-    fields = {"pd": _pd_dict(pd), "expected_fail_of_pd": True}
+    fields = {"pd": asdict(pd), "expected_fail_of_pd": True}
     return CheckResult("pd_counter_monotone_control", "pd", pd.c_hat <= 0.05, fields)
 
 
@@ -418,7 +406,7 @@ def _pd_lemma_result(n_units: int, n: int, rng: RngStream) -> CheckResult:
     left = estimate_pd_constant(joint, side="left")
     floor = 1.0 / 2 ** (n_units - 1) - 0.05
     passed = right.c_hat >= floor and left.c_hat >= floor
-    fields = {"pd": _pd_dict(right), "pd_left": _pd_dict(left)}
+    fields = {"pd": asdict(right), "pd_left": asdict(left)}
     return CheckResult(f"pd_lemma_products_{n_units}", "pd", passed, fields)
 
 

@@ -19,12 +19,14 @@ point_mass            degenerate at a single value
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_integer
 from .rng import RngStream
 
 # parameters each family requires (all but point_mass strictly positive)
@@ -68,8 +70,8 @@ class DistributionSpec:
                 f"{self.family} requires params {sorted(required)}, got {sorted(given)}"
             )
         for name, value in self.params.items():
-            if not np.isfinite(value):
-                raise ParameterError(f"{self.family}.{name} must be finite")
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ParameterError(f"{self.family}.{name} must be a finite number, got {value!r}")
             if name != "value" and value <= 0:
                 raise ParameterError(f"{self.family}.{name} must be > 0, got {value}")
         if self.family == "oscillating_gwt" and self.params["shape"] < OSCILLATING_MIN_SHAPE:
@@ -133,6 +135,7 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     A variate too large for float64 comes back as inf, without a warning;
     folding the samples refuses it.
     """
+    require_integer("n", n)
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     g = rng.generator()

@@ -32,7 +32,7 @@ spread, unlike the naive diagonal formula.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,9 +141,6 @@ class TailEstimate:
     fit_points: int
     x_range: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "x_range": list(self.x_range)}
-
 
 def empirical_survival(tail: EmpiricalTail, x):
     """Empirical P(X >= x) = #{i : X_i >= x} / n on the folded samples; refused below the kept block."""
@@ -189,7 +186,8 @@ def loglog_points(tail: EmpiricalTail, window: FitWindow) -> np.ndarray:
     x_lo, x_hi = _sorted_quantiles(tail.sorted_samples, (window.q_lo, window.q_hi), tail.n_below)
     if not x_lo > 0:
         raise DomainError(
-            f"fit window starts at x = {x_lo:g}; tail grid needs x > 0 after folding"
+            # + 0.0 writes a zero as 0, whichever signed zero the sort or the partition put there
+            f"fit window starts at x = {x_lo + 0.0:g}; tail grid needs x > 0 after folding"
         )
     if not x_hi > x_lo:
         raise InsufficientDataError("degenerate fit window: quantiles coincide")
@@ -387,14 +385,16 @@ def estimate_tail_index(tail: EmpiricalTail, window: FitWindow = FitWindow()) ->
     )
 
 
-def estimate_with_points(tail: EmpiricalTail, window: FitWindow) -> tuple[TailEstimate, np.ndarray]:
-    """``estimate_tail_index`` and the log-log points it was fitted on.
+def estimate_with_points(samples, side, window: FitWindow, overwrite=False) -> tuple[TailEstimate, np.ndarray]:
+    """Fold ``samples`` from ``window.q_lo`` up; ``estimate_tail_index`` and the points it was fitted on.
 
-    The points are the grid ``estimate_tail_index`` already built, computed
-    a second time only because the benchmark's traced check
-    (``expected_counts`` in ``bench/run.py``) pins two grids per estimate.
-    Once that pin goes, returning the first grid is an edit to this function.
+    ``overwrite`` is ``EmpiricalTail.from_samples``'s. The points are the grid
+    ``estimate_tail_index`` already built, computed a second time only because
+    the benchmark's traced check (``expected_counts`` in ``bench/run.py``) pins
+    two grids per estimate. Once that pin goes, returning the first grid is an
+    edit to this function.
     """
+    tail = EmpiricalTail.from_samples(samples, side, q_keep=window.q_lo, overwrite=overwrite)
     return estimate_tail_index(tail, window), loglog_points(tail, window)
 
 

@@ -87,8 +87,9 @@ class TestNetworkConfig:
             small_config(activation="gelu")
 
     def test_zero_samples_rejected(self):
-        with pytest.raises(ParameterError):
-            small_config(n_samples=0)
+        for n_samples in (0, 2.5, True, "10"):
+            with pytest.raises(ParameterError):
+                small_config(n_samples=n_samples)
 
 
 class TestPredictedTailParameter:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwt_lab import cli, closure_tolerance, refit_beta_from_points
+from gwt_lab import EmpiricalTail, cli, closure_tolerance, refit_beta_from_points
 from gwt_lab.cli import SCHEMA, _read_stdin_samples, main
 
 
@@ -552,6 +552,44 @@ class TestBundleFiles:
         # neither bundle file, nor a staged .summary.json.* or .curves.csv.*
         assert list(out.iterdir()) == []
 
+    def test_write_bundle_encodes_numpy_values(self, tmp_path):
+        """numpy values reach summary.json as json writes lists, ints and bools, and points as .17g rows."""
+        summary = {
+            "z_grid": np.array([0.5, -1.25e-300, 3.0]),
+            "cell_events": np.array([1000, 2, 3], dtype=np.int64),
+            "count": np.int64(7),
+            "within": np.bool_(True),
+            "x_range": (1.5, 2.5),
+            "nested": [{"c_hat": np.float64(0.25)}],
+        }
+        plain = {
+            "z_grid": [0.5, -1.25e-300, 3.0],
+            "cell_events": [1000, 2, 3],
+            "count": 7,
+            "within": True,
+            "x_range": [1.5, 2.5],
+            "nested": [{"c_hat": 0.25}],
+        }
+        points = np.array([[0.1, -2.0], [1.0 / 3.0, 5e-324]])
+        out = tmp_path / "o"
+        cli.write_bundle(str(out), summary, {"layer1": points, "layer2": points[:1]})
+        assert (out / "summary.json").read_text() == json.dumps(plain, indent=2) + "\n"
+        assert (out / "curves.csv").read_text() == (
+            "label,log_x,log_neg_log_survival\n"
+            "layer1,0.10000000000000001,-2\n"
+            "layer1,0.33333333333333331,4.9406564584124654e-324\n"
+            "layer2,0.10000000000000001,-2\n"
+        )
+        # a value json cannot write is refused before anything is staged
+        with pytest.raises(TypeError, match="object"):
+            cli.write_bundle(str(out), {"bad": object()}, {"layer1": points})
+        assert sorted(p.name for p in out.iterdir()) == ["curves.csv", "summary.json"]
+        assert (out / "summary.json").read_text() == json.dumps(plain, indent=2) + "\n"
+        fresh = tmp_path / "fresh"
+        with pytest.raises(TypeError):
+            cli.write_bundle(str(fresh), {"bad": object()}, {})
+        assert not fresh.exists()
+
 
 def per_line_reference(stream) -> np.ndarray:
     """The stdin rules one line at a time: float(), retried after strip(), blank lines skipped."""
@@ -868,6 +906,35 @@ class TestGoldenBundles:
         out = tmp_path / "o"
         assert main([cfg["command"], "--config", write_config(tmp_path, **cfg), "--out", str(out)]) == status
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+def test_every_estimate_folds_at_its_window(tmp_path, monkeypatch):
+    """Every fit folds from its config's fit_window.q_lo; only arrays a command owns are folded in place."""
+    folds = []
+    fold = EmpiricalTail.from_samples.__func__
+
+    def spy(cls, samples, side="right", q_keep=0.0, overwrite=False):
+        folds.append((q_keep, overwrite))
+        return fold(cls, samples, side, q_keep, overwrite)
+
+    monkeypatch.setattr(EmpiricalTail, "from_samples", classmethod(spy))
+    monkeypatch.setattr("sys.stdin", io.StringIO(TIE_HEAVY_STDIN))
+    window = {"q_lo": 0.9, "q_hi": 0.999}
+    closure = {"command": "closure", "seed": 2, "n_samples": 20000, "fit_window": window}
+    runs = [
+        # bnn (q_lo 0.9): one fold per layer, of a view into the Monte Carlo trace
+        (GOLDEN_BUNDLES["bnn"][0], {0}, [(0.9, False)] * 2),
+        # estimate on stdin (default q_lo 0.95): the parsed array is the command's own
+        ({"command": "estimate", "seed": 3}, {0}, [(0.95, True)]),
+        (dict(closure, suite="sum"), {0, 1}, [(0.9, False)] * 3),
+        # the two truncation controls own their sums; the student-t envelope check does not
+        (dict(closure, suite="negatives"), {0, 1}, [(0.9, True), (0.9, True), (0.9, False)]),
+    ]
+    for i, (cfg, statuses, expected) in enumerate(runs):
+        folds.clear()
+        path = write_config(tmp_path, f"cfg{i}.json", **cfg)
+        assert main([cfg["command"], "--config", path, "--out", str(tmp_path / f"o{i}")]) in statuses
+        assert folds == expected, cfg
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

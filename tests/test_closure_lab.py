@@ -23,13 +23,14 @@ from gwt_lab import (
     closure_tolerance,
     empirical_survival,
     estimate_pd_constant,
+    estimate_tail_index,
+    loglog_points,
     negative_control_truncation,
     sample_iid,
     weight_unit_product_samples,
 )
 from gwt_lab import closure_lab
 from gwt_lab.closure_lab import PRODUCT_NET_HIDDEN_WIDTH, PRODUCT_NET_INPUT_DIM, closure_suite
-from gwt_lab.tail_estimation import estimate_with_points
 
 N = 2 * 10**5
 N_WIDE = 10**6  # gaussian-family checks at beta = 2 need the full-scale window
@@ -280,7 +281,7 @@ class TestTruncationControl:
         sums = x + np.where(np.abs(x) > m, -x, x)
         full = EmpiricalTail.from_samples(sums)
         try:
-            outcome, (estimate, points) = "estimate", estimate_with_points(full, WINDOW)
+            outcome, estimate, points = "estimate", estimate_tail_index(full, WINDOW), loglog_points(full, WINDOW)
         except DegenerateTailError:
             outcome, estimate, points = "degenerate", None, None
         except InsufficientDataError:

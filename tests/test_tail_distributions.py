@@ -63,6 +63,10 @@ class TestDistributionSpec:
             (DistributionSpec.weibull, {"shape": -2.0, "scale": 1.0}),
             (DistributionSpec.weibull, {"shape": 2.0, "scale": 0.0}),
             (DistributionSpec.student_t, {"dof": 0.0}),
+            (DistributionSpec.gaussian, {"sigma": "1"}),
+            (DistributionSpec.gaussian, {"sigma": True}),
+            (DistributionSpec.laplace, {"scale": np.bool_(True)}),
+            (DistributionSpec.weibull, {"shape": None, "scale": 1.0}),
         ],
     )
     def test_nonpositive_parameters_rejected(self, ctor, kwargs):
@@ -106,8 +110,9 @@ class TestSampleIid:
         assert out.shape == (0,)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ParameterError):
-            sample_iid(DistributionSpec.gaussian(), -1, RngStream(1))
+        for n in (-1, 2.5, True, "3"):
+            with pytest.raises(ParameterError):
+                sample_iid(DistributionSpec.gaussian(), n, RngStream(1))
 
     def test_same_stream_reproduces_bit_for_bit(self):
         spec = DistributionSpec.gaussian()
