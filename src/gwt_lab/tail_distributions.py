@@ -47,6 +47,18 @@ SYMMETRIC_FAMILIES = frozenset({"gaussian", "laplace", "generalized_gaussian"})
 
 OSCILLATING_MIN_SHAPE = 2.0
 _INVERSION_TOL = 1e-12
+# uniforms turned into Laplace variates per pass; the pass's scratch stays in cache
+_LAPLACE_BLOCK = 2**14
+
+
+def _finite_real(value) -> bool:
+    """A real number, not a bool, that float64 holds as a finite value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,7 @@ class DistributionSpec:
                 f"{self.family} requires params {sorted(required)}, got {sorted(given)}"
             )
         for name, value in self.params.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not _finite_real(value):
                 raise ParameterError(f"{self.family}.{name} must be a finite number, got {value!r}")
             if name != "value" and value <= 0:
                 raise ParameterError(f"{self.family}.{name} must be > 0, got {value}")
@@ -130,8 +142,10 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     """Draw ``n`` independent variates from ``spec``.
 
     Deterministic given ``(rng.seed, rng.stream_id)``. Within a stream the
-    draw order per family is fixed (magnitudes before signs), so results
-    are stable across library versions of the same numpy generation code.
+    draw order per family is fixed (Laplace inverts one uniform per variate;
+    the generalized Gaussian draws magnitudes before signs), so results are
+    stable across library versions of the same numpy generation code and,
+    for Laplace, the same numpy float64 ``log``.
     A variate too large for float64 comes back as inf, without a warning;
     folding the samples refuses it.
     """
@@ -160,15 +174,48 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
 def _symmetric_draws(gen: np.random.Generator, family: str, beta, scale: float, size) -> np.ndarray:
     """Gaussian, Laplace or generalized-Gaussian (shape ``beta``) variates of ``size``.
 
-    Draw order is fixed, magnitudes before signs; network weight priors draw through here too.
+    Network weight priors draw through here too. Laplace inverts one
+    uniform per variate; the generalized Gaussian draws all its magnitudes,
+    then one uniform per sign.
     """
     if family == "gaussian":
         return scale * gen.standard_normal(size)
     if family == "laplace":
-        return gen.laplace(0.0, scale, size)
-    magnitude = scale * gen.gamma(1.0 / beta, 1.0, size) ** (1.0 / beta)
-    sign = np.where(gen.random(size) < 0.5, -1.0, 1.0)
-    return sign * magnitude
+        return _laplace_draws(gen, scale, size)
+    m = gen.gamma(1.0 / beta, 1.0, size)
+    np.power(m, 1.0 / beta, out=m)
+    m *= scale
+    u = gen.random(size)
+    u -= 0.5
+    return np.copysign(m, u, out=m)
+
+
+def _laplace_draws(gen: np.random.Generator, scale: float, size) -> np.ndarray:
+    """Laplace(0, ``scale``) variates of ``size``, by the inverse CDF of one uniform each.
+
+    With ``w = 2u - 1`` the draw is ``sign(w) * -scale * log(1 - |w|)``; both
+    steps are exact on numpy's 2**-53 grid, so the law is exactly symmetric.
+    The transform runs in place, a block at a time, to hold one array of
+    ``size`` and one block.
+    """
+    out = gen.random(size)
+    flat = out.reshape(-1)
+    # u == 0 would map to inf; numpy's own Laplace sampler rejects it too
+    while flat.size and flat.min() == 0.0:
+        zero = np.flatnonzero(flat == 0.0)
+        flat[zero] = gen.random(zero.size)
+    t = np.empty(min(flat.size, _LAPLACE_BLOCK))
+    for start in range(0, flat.size, _LAPLACE_BLOCK):
+        w = flat[start:start + _LAPLACE_BLOCK]
+        tw = t[:w.size]
+        w *= 2.0
+        w -= 1.0
+        np.abs(w, out=tw)
+        np.subtract(1.0, tw, out=tw)
+        np.log(tw, out=tw)
+        tw *= -scale
+        np.copysign(tw, w, out=w)
+    return out
 
 
 def _oscillating_exponent(beta: float, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Tests for the variate generators, against each family's exact survival law."""
 
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +15,13 @@ from gwt_lab import (
     RngStream,
     sample_iid,
 )
-from gwt_lab.tail_distributions import FAMILIES, _invert_oscillating_survival, _oscillating_exponent
+from gwt_lab.tail_distributions import (
+    _LAPLACE_BLOCK,
+    FAMILIES,
+    _invert_oscillating_survival,
+    _oscillating_exponent,
+    _symmetric_draws,
+)
 
 N_BIG = 10**6
 
@@ -67,6 +77,7 @@ class TestDistributionSpec:
             (DistributionSpec.gaussian, {"sigma": True}),
             (DistributionSpec.laplace, {"scale": np.bool_(True)}),
             (DistributionSpec.weibull, {"shape": None, "scale": 1.0}),
+            (DistributionSpec.gaussian, {"sigma": 10**400}),
         ],
     )
     def test_nonpositive_parameters_rejected(self, ctor, kwargs):
@@ -161,6 +172,80 @@ class TestSampleIid:
             np.abs(s_exact - s_hat_right).max(),
         )
         assert sup <= eps + 1.0 / n
+
+
+def laplace_by_math(u, scale):
+    """The Laplace inverse CDF of each uniform, in Python floats."""
+    return np.array([math.copysign(-scale * math.log(1 - abs(2 * v - 1)), 2 * v - 1) for v in np.ravel(u)])
+
+
+class FirstUniformsZero:
+    """A generator whose first two draws start with a uniform of exactly 0.0."""
+
+    def __init__(self, seed):
+        self._gen = np.random.default_rng(seed)
+        self.drawn = []
+
+    def random(self, size=None):
+        u = self._gen.random(size)
+        if len(self.drawn) < 2:
+            u.flat[0] = 0.0
+        self.drawn.append(np.array(u, copy=True))
+        return u
+
+
+class TestLaplaceDraws:
+    def test_inverse_cdf_at_float_precision(self):
+        scale = 0.7
+        x = _symmetric_draws(np.random.default_rng(5), "laplace", None, scale, N_BIG)
+        u = np.random.default_rng(5).random(N_BIG)
+        np.testing.assert_allclose(x, laplace_by_math(u, scale), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, 7, (3, 5), _LAPLACE_BLOCK - 1, _LAPLACE_BLOCK, 3 * _LAPLACE_BLOCK + 5, (_LAPLACE_BLOCK + 3, 2)],
+    )
+    def test_sizes_and_stream_position(self, size):
+        """One uniform per variate: the stream ends where gen.random(size) leaves it."""
+        gen, twin = np.random.default_rng(9), np.random.default_rng(9)
+        x = _symmetric_draws(gen, "laplace", None, 2.0, size)
+        u = twin.random(size)
+        assert x.shape == u.shape
+        np.testing.assert_allclose(x.ravel(), laplace_by_math(u, 2.0), rtol=1e-15, atol=0)
+        assert gen.random() == twin.random()
+
+    def test_zero_uniform_is_redrawn(self):
+        gen = FirstUniformsZero(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _symmetric_draws(gen, "laplace", None, 1.0, 1000)
+        assert np.isfinite(x).all()
+        # the zero is replaced by the next uniform, which is itself zero once
+        first, redraw, again = gen.drawn
+        assert redraw.tolist() == [0.0] and again.size == 1
+        np.testing.assert_allclose(x, laplace_by_math(np.concatenate([again, first[1:]]), 1.0), rtol=1e-15)
+
+    def test_holds_one_array_and_one_block(self):
+        """A second array of the draw's size would lift the closure suite's peak RSS."""
+        n = N_BIG
+        tracemalloc.start()
+        try:
+            _symmetric_draws(np.random.default_rng(1), "laplace", None, 1.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 8 * _LAPLACE_BLOCK + 2**20
+
+
+@pytest.mark.parametrize("shape,scale", [(3.0, 0.5), (2.0, 1.0), (0.5, 2.0), (1.5, 0.3)])
+def test_generalized_gaussian_bits_match_sign_times_magnitude(shape, scale):
+    """The in-place draw gives the bits of scale * gamma**(1/shape) times a -1/+1 sign."""
+    n = 10**5
+    g = np.random.default_rng(21)
+    magnitude = scale * g.gamma(1.0 / shape, 1.0, n) ** (1.0 / shape)
+    want = np.where(g.random(n) < 0.5, -1.0, 1.0) * magnitude
+    got = _symmetric_draws(np.random.default_rng(21), "generalized_gaussian", shape, scale, n)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestExactSurvival:
