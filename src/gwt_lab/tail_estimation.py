@@ -57,6 +57,11 @@ BETA_MAX = 20.0
 # tolerates empirical step noise without masking order-of-magnitude gaps
 ENVELOPE_SLACK = 1.05
 
+# the profile fit scans ln beta on this grid, then solves the derivative's
+# root next to the best point to a bracket this narrow, in ln beta
+_SCAN_LNB = np.linspace(np.log(BETA_MIN), np.log(BETA_MAX), 64)
+_ROOT_XTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FitWindow:
@@ -206,110 +211,62 @@ def loglog_points(tail: EmpiricalTail, window: FitWindow) -> np.ndarray:
     return np.column_stack([np.log(grid), np.log(-np.log(surv))])
 
 
-def _profile_objective(lnb, z, y, sw):
-    """Weighted RSS of y ~ c0 * exp(beta z) + c2 at fixed beta; z is centered."""
-    beta = np.exp(lnb)
-    col = np.exp(np.minimum(beta * z, 600.0))
-    a = np.column_stack([col, np.ones_like(z)]) * sw[:, None]
-    coef, *_ = np.linalg.lstsq(a, y * sw, rcond=None)
-    r = y * sw - a @ coef
-    return float(r @ r), coef
+def _profile(lnb, z, y, w):
+    """Weighted RSS of y ~ c0 exp(beta z) + c2 at beta = exp(lnb), its derivative in lnb, and c0.
 
-
-def _bounded_minimum(f, a, b, xatol):
-    """Minimize a scalar ``f`` on ``[a, b]`` by Brent's bounded search; return the argmin.
-
-    A step-for-step port of ``_minimize_scalar_bounded`` from scipy.optimize
-    (the algorithm behind ``fminbound``, BSD-3-Clause, Copyright (c) 2001-2002
-    Enthought, Inc. and 2003 onwards SciPy Developers), so it returns the
-    bits ``minimize_scalar(f, bounds=(a, b), method="bounded",
-    options={"xatol": xatol})`` returns: golden-section steps, parabolic
-    steps where the parabola is acceptable, and at most 500 evaluations.
-    Kept in-module because the package runs on numpy alone.
+    (c0, c2) is the closed-form weighted least-squares fit, centered. z is
+    ln x less its largest value, so the column peaks at 1 and cannot
+    overflow. lnb may be a vector; each output then has one entry per lnb.
     """
-    maxfun = 500
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
+    # in place, so that a scan holds at most three arrays of its size: r is the
+    # column, then the column centered, then the residual
+    dcol = np.multiply.outer(np.exp(lnb), z)
+    r = np.exp(dcol)
+    dcol *= r
+    r -= (r @ w / w.sum())[..., None]
+    dy = y - w @ y / w.sum()
+    c0 = r @ (w * dy) / ((r * r) @ w)
+    r *= -c0[..., None]
+    r += dy
+    # (c0, c2) solve the normal equations, so only d col / d lnb = beta z col enters the derivative
+    return (r * r) @ w, -2.0 * c0 * ((dcol * r) @ w), c0
 
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
 
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # parabolic fit through the three best points
-        if np.abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
+def _stationary_lnb(z, y, w):
+    """The ln beta where the profile RSS is stationary, next to the best of a scan.
 
-            # accept the parabola only if its step shrinks and stays inside [a, b]
-            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = True
-
-        if golden:
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = f(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    The best scan point and its two neighbours bracket the root of the
+    derivative, found by Illinois regula falsi to a bracket narrower than
+    ``_ROOT_XTOL``. Without a sign change across the bracket, the bound the
+    derivative descends to is returned.
+    """
+    rss, drss, _ = _profile(_SCAN_LNB, z, y, w)
+    i = int(np.argmin(rss))
+    lo, hi = max(i - 1, 0), min(i + 1, _SCAN_LNB.size - 1)
+    a, b, fa, fb = _SCAN_LNB[lo], _SCAN_LNB[hi], drss[lo], drss[hi]
+    if np.sign(fa) == np.sign(fb) != 0:
+        return _SCAN_LNB[0] if fa > 0 else _SCAN_LNB[-1]
+    # (b, fb) is the newest point, (a, fa) the other end of the bracket
+    while abs(b - a) >= _ROOT_XTOL:
+        c = b - fb * (b - a) / (fb - fa)
+        fc = float(_profile(c, z, y, w)[1])
+        if fc == 0:
+            return c
+        if (fc > 0) != (fb > 0):
+            a, fa = b, fb
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxfun:
-            break
-
-    return xf
+            fa /= 2  # the Illinois rule: an end kept twice in a row has its value halved
+        b, fb = c, fc
+    return b
 
 
 def _fit_exponent_curve(lnx, lny):
     """Profile fit of y = c0 x**beta + c2 to the log-log points.
+
+    The profile RSS is scanned on ``_SCAN_LNB``, ln beta from ln BETA_MIN to
+    ln BETA_MAX, and beta is the root of its derivative next to the best
+    scan point. When the derivative keeps one sign there, beta is the bound
+    it descends to, and the fit raises DegenerateTailError.
 
     Returns (beta, ln_c0, weights). ln_c0 is computed in log space so
     extreme sample scales cannot overflow.
@@ -317,36 +274,28 @@ def _fit_exponent_curve(lnx, lny):
     y = np.exp(lny)
     surv = np.exp(-y)
     # inverse pointwise variance of y = -log(S_hat), up to the 1/n factor
-    sw = np.sqrt(surv / (1.0 - surv))
-    z = lnx - lnx.mean()
-    lnb = _bounded_minimum(
-        lambda lnb: _profile_objective(lnb, z, y, sw)[0],
-        np.log(BETA_MIN),
-        np.log(BETA_MAX),
-        xatol=1e-12,
-    )
+    w = surv / (1.0 - surv)
+    z = lnx - lnx.max()
+    lnb = _stationary_lnb(z, y, w)
     beta = float(np.exp(lnb))
-    _, coef = _profile_objective(lnb, z, y, sw)
-    c0_centered = float(coef[0])
-    if c0_centered <= 0:
+    c0 = float(_profile(lnb, z, y, w)[2])
+    if not c0 > 0:
         raise DegenerateTailError("fitted tail exponent is not increasing")
     if beta <= BETA_MIN * (1 + 1e-6) or beta >= BETA_MAX * (1 - 1e-6):
         raise DegenerateTailError(
             f"tail parameter search hit its bound ({beta:.4g}); "
             "tail is not stretched-exponential on this window"
         )
-    ln_c0 = np.log(c0_centered) - beta * lnx.mean()
-    return beta, float(ln_c0), sw ** 2
+    return beta, float(np.log(c0) - beta * lnx.max()), w
 
 
 def _sandwich_stderr(lnx, lny, n, beta, ln_c0, w):
     """Gauss-Newton sandwich s.e. of beta under the empirical-process covariance."""
     y = np.exp(lny)
     surv = np.exp(-y)
-    z = lnx - lnx.mean()
-    c0_centered = np.exp(ln_c0 + beta * lnx.mean())
-    xb = np.exp(np.minimum(beta * z, 600.0))
-    jac = np.column_stack([c0_centered * xb * z, xb, np.ones_like(z)])
+    z = lnx - lnx.max()
+    col = np.exp(beta * z)
+    jac = np.column_stack([np.exp(ln_c0 + beta * lnx.max()) * col * z, col, np.ones_like(z)])
     wj = jac * w[:, None]
     try:
         bread = np.linalg.inv(jac.T @ wj)

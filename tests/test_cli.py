@@ -384,6 +384,21 @@ class TestEstimateCommand:
         assert 0.4 < summary["beta_hat"] < 0.6
         assert summary["label"] == "samples"
 
+    def test_stdin_log_cauchy_hits_the_lower_bound(self, tmp_path, monkeypatch, capsys):
+        """A log-Cauchy tail is heavier than any power law: the fit ends at BETA_MIN, with no warning."""
+        with np.errstate(over="ignore"):
+            samples = np.exp(np.random.default_rng(4).standard_cauchy(10**5))
+        samples = samples[np.isfinite(samples)]
+        assert samples.size == 99_948
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{v!r}\n" for v in samples.tolist())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "tail parameter search hit its bound (0.05)" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_stdin_bad_line_number_reported(self, tmp_path, monkeypatch, capsys):
         # blank and whitespace-only lines are skipped but still counted
         for text, line in (
@@ -841,7 +856,7 @@ GOLDEN_BUNDLES = {
         {"command": "closure", "seed": 7, "suite": "all", "n_samples": 100000},
         1,
         {
-            "summary.json": "0664c1db288f3eae97e3578640107e9fc1383f58930ec6afbd67e4d59fbfa321",
+            "summary.json": "18095a9de1ab40b270b93cad85c4a51d1a3381621b524d84a77d47633ed59011",
             "curves.csv": "8686a05146cf807b5ffc2bef11ad686aedc6bc8d2f06614c257658dd5a2e9e5a",
         },
     ),
@@ -859,7 +874,7 @@ GOLDEN_BUNDLES = {
         },
         0,
         {
-            "summary.json": "30ac9948c1136ea9464bb1abe9be0ce7bddea3516967bdfb19b7e3852123c283",
+            "summary.json": "1ad91dac6910eca3b9eed0d585d9a8a84318d1341cb5b96b14496c402b23465a",
             "curves.csv": "02c0ade16d66ac59057dbab6fb194735f4d9436e8db19cdc7db1ea927dbf4af3",
         },
     ),
@@ -872,7 +887,7 @@ GOLDEN_BUNDLES = {
         },
         0,
         {
-            "summary.json": "0cdebc565c9bd55b0f8695e07e1d2c2af4e56ae78b50be43aeab2357764a0c4b",
+            "summary.json": "cacddbe2ea1250decaa82e5f9c6400d09807d1c9cc18a5cfb3e0f353e3917ef9",
             "curves.csv": "16d55e6d329635e74f03cc4b4902de0e3b65c574558e048d0e406a9698923059",
         },
     ),
@@ -881,7 +896,7 @@ GOLDEN_BUNDLES = {
         {"command": "estimate", "seed": 3},
         0,
         {
-            "summary.json": "c8b0622d03ebc8a90761653df6862c1123bdbe080cb0b777318579419ca85b9a",
+            "summary.json": "03873fcf88a4c8c0c2e4962d3b4fedf862d3a5af821fa8b9fcf5c668817e7b96",
             "curves.csv": "c3b1efd8a702096f20a8b8250e34b7cdcca3d4a673c8387483ede816b36c67c7",
         },
     ),

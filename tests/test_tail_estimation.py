@@ -25,9 +25,10 @@ from gwt_lab import (
 from gwt_lab.tail_estimation import (
     BETA_MAX,
     BETA_MIN,
-    _bounded_minimum,
-    _profile_objective,
+    _SCAN_LNB,
+    _profile,
     _sorted_quantiles,
+    _stationary_lnb,
 )
 
 
@@ -348,8 +349,8 @@ class TestGwtEnvelope:
             check_gwt_envelope(tail, beta=2.0, l_lo=1.0, l_hi=2.0)
 
 
-def _random_profile_objective(gen):
-    """The profile objective of a random log-log grid, built as _fit_exponent_curve builds it.
+def _random_profile_grid(gen):
+    """A random log-log grid's (z, y, w), built as _fit_exponent_curve builds them.
 
     The grid's true beta spans 0.02..40, past both search bounds, so some
     minima sit on a bound and others inside.
@@ -361,54 +362,80 @@ def _random_profile_objective(gen):
     y = y + gen.uniform(-0.5, 2.0) * y.min() + 1e-3
     y = y * np.exp(gen.normal(0.0, 0.05, k))
     surv = np.exp(-y)
-    sw = np.sqrt(surv / (1.0 - surv))
-    z = lnx - lnx.mean()
-    return lambda lnb: _profile_objective(lnb, z, y, sw)[0]
+    return lnx - lnx.max(), y, surv / (1.0 - surv)
 
 
-def test_bounded_minimum_matches_scipy_bitwise():
-    """The in-module Brent search evaluates at scipy's points and returns scipy's bits.
+def _lstsq_rss(lnb, z, y, w):
+    """The profile RSS by a least-squares solve per beta on centered z: the reference for the closed form."""
+    sw = np.sqrt(w)
+    a = np.column_stack([np.exp(np.exp(lnb) * (z - z.mean())), np.ones_like(z)]) * sw[:, None]
+    coef, *_ = np.linalg.lstsq(a, y * sw, rcond=None)
+    r = y * sw - a @ coef
+    return float(r @ r)
 
-    Both searches log every abscissa they evaluate, so a changed step shows
-    as a different evaluation sequence even when the argmin survives it.
+
+def _long_double_drss(lnb, z, y, w):
+    """dRSS/d ln beta of the profile, in long double, from the same closed form."""
+    z, y, w = (np.asarray(v, dtype=np.longdouble) for v in (z, y, w))
+    bz = np.exp(np.longdouble(lnb)) * z
+    col = np.exp(bz)
+    dcol = col - (w * col).sum() / w.sum()
+    dy = y - (w * y).sum() / w.sum()
+    c0 = (w * dcol * dy).sum() / (w * dcol * dcol).sum()
+    return -2 * c0 * (w * (dy - c0 * dcol) * bz * col).sum()
+
+
+def test_stationary_lnb_against_scipy_bounded_search():
+    """On 300 random grids the root agrees with scipy's bounded search, and is no less stationary.
+
+    A fit whose minimum lies past a search bound returns exactly that bound.
     """
     lo, hi = np.log(BETA_MIN), np.log(BETA_MAX)
     gen = np.random.default_rng(20)
-    cases = [(_random_profile_objective(gen), lo, hi, 1e-12) for _ in range(300)]
-    cases += [
-        (lambda t: t, lo, hi, 1e-12),  # minimum at log(BETA_MIN)
-        (lambda t: -t, lo, hi, 1e-12),  # minimum at log(BETA_MAX)
-        (lambda t: 0.0, lo, hi, 1e-12),  # flat
-        (lambda t: float(t > 0.3), lo, hi, 1e-12),  # a step: ties on both sides
-        (lambda t: np.sin(5.0 * t) + 0.1 * t, lo, hi, 1e-12),  # several local minima
-        (abs, -1.0, 2.0, 0.0),  # never converges: stops at 500 evaluations
-        (lambda t: (t + 30.0 - 1e-10) ** 2, -30.0, 30.0, 1e-12),  # a parabola lands by a bound
-        # just wide enough to take one step: b - a is 3.244 tolerances, the loop needs 3.236
-        (lambda t: t * t, 1.0, 1.0 + 3.244 * np.sqrt(2.2e-16), 0.0),
-    ]
-    # smooth objectives on intervals off zero, some wholly negative, some too
-    # narrow to search: the loop's entry test and first step depend on a and b
-    for _ in range(200):
-        a = gen.uniform(-20.0, 20.0)
-        b = a + 10.0 ** gen.uniform(-9.0, 1.5)
-        m = a + (b - a) * gen.uniform(-0.2, 1.2)
-        cases.append((lambda t, m=m: (t - m) ** 2 + 0.1 * np.cos(7.0 * (t - m)), a, b, 10.0 ** gen.uniform(-12, -6)))
-    evaluations = []
-    for i, (f, a, b, xatol) in enumerate(cases):
-        seen = {"port": [], "scipy": []}
-
-        def logged(name):
-            def g(t):
-                seen[name].append(float(t))
-                return f(t)
-
-            return g
-
-        got = _bounded_minimum(logged("port"), a, b, xatol)
+    bounded = interior = 0
+    for i in range(300):
+        z, y, w = _random_profile_grid(gen)
+        got = _stationary_lnb(z, y, w)
         want = optimize.minimize_scalar(
-            logged("scipy"), bounds=(a, b), method="bounded", options={"xatol": xatol}
+            lambda t: _lstsq_rss(t, z, y, w), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
         ).x
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), i
-        assert np.array(seen["port"]).tobytes() == np.array(seen["scipy"]).tobytes(), i
-        evaluations.append(len(seen["port"]))
-    assert max(evaluations) == 500  # the evaluation cap is reached, never passed
+        assert np.exp(got) == pytest.approx(np.exp(want), rel=1e-6), i
+        if got in (_SCAN_LNB[0], _SCAN_LNB[-1]):
+            bounded += 1
+            assert got == (lo if want - lo < hi - want else hi), i
+        else:
+            interior += 1
+            assert abs(_long_double_drss(got, z, y, w)) <= abs(_long_double_drss(want, z, y, w)), i
+    assert (bounded, interior) == (51, 249)
+
+
+def test_scan_takes_the_lower_of_two_minima():
+    """Where the profile RSS has two local minima, the root is at the lower; scipy's Brent search stops at the other."""
+    lnx = np.linspace(0.0, 3.0, 100)
+    z, w = lnx - lnx.max(), np.ones(100)
+    y = np.cumsum(np.exp(np.random.default_rng(5436).normal(0.0, 3.0, 100)))
+    got = _stationary_lnb(z, y, w)
+    want = optimize.minimize_scalar(
+        lambda t: _lstsq_rss(t, z, y, w), bounds=(np.log(BETA_MIN), np.log(BETA_MAX)), method="bounded",
+        options={"xatol": 1e-12},
+    ).x
+    assert np.exp(got) == pytest.approx(16.353, rel=1e-4)
+    assert np.exp(want) == pytest.approx(0.98884, rel=1e-4)
+    assert _lstsq_rss(got, z, y, w) < _lstsq_rss(want, z, y, w) / 1.25
+
+
+@pytest.mark.parametrize(
+    "spec", [DistributionSpec.weibull(1.0), DistributionSpec.gaussian(), DistributionSpec.laplace()],
+    ids=["weibull1", "gaussian", "laplace"],
+)
+def test_profile_derivative_matches_central_difference(spec):
+    """The closed-form dRSS/d ln beta, which the root solve trusts, against a difference of the RSS."""
+    pts = loglog_points(
+        EmpiricalTail.from_samples(sample_iid(spec, 10**5, RngStream(21)), side="absolute"), FitWindow()
+    )
+    y = np.exp(pts[:, 1])
+    surv = np.exp(-y)
+    z, w, h = pts[:, 0] - pts[:, 0].max(), surv / (1.0 - surv), 1e-6
+    _, drss, _ = _profile(_SCAN_LNB, z, y, w)
+    central = (_profile(_SCAN_LNB + h, z, y, w)[0] - _profile(_SCAN_LNB - h, z, y, w)[0]) / (2 * h)
+    np.testing.assert_allclose(drss, central, rtol=1e-5, atol=0)
