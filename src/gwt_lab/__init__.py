@@ -4,7 +4,6 @@ from .bnn_sampler import (
     LayerPrior,
     NetworkConfig,
     UnitTrace,
-    forward_sample,
     make_input,
     predicted_tail_parameter,
     run_prior_monte_carlo,
@@ -28,7 +27,6 @@ from .errors import (
     DomainError,
     GwtLabError,
     InsufficientDataError,
-    NumericalOverflowError,
     OverflowAbortError,
     ParameterError,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "InsufficientDataError",
     "LayerPrior",
     "NetworkConfig",
-    "NumericalOverflowError",
     "OverflowAbortError",
     "PDEstimate",
     "ParameterError",
@@ -77,7 +74,6 @@ __all__ = [
     "empirical_survival",
     "estimate_pd_constant",
     "estimate_tail_index",
-    "forward_sample",
     "judge_tail",
     "loglog_points",
     "make_input",

@@ -8,19 +8,36 @@ identical for any worker count. Chunks of replicates run on a thread
 pool in the calling process, each filling its own columns of one trace
 array; numpy's bulk draws and matmuls release the GIL, so threads share
 the work.
+
+Within a chunk, replicates run in blocks whose length is set by an element
+budget, not by the worker count. Each replicate still draws every layer
+from its own stream, in layer order, so blocks change no draw. For the
+layers after the first, the steps that draw nothing run once per block:
+scaling the Gaussian weights, turning the Laplace uniforms into variates,
+and the products. The stacked ``np.matmul(h[:, None, :], W)`` makes, for
+each replicate, the same BLAS call as that replicate's own ``h @ w``, and
+every other block step works elementwise, so each replicate keeps the
+bits of a one-replicate forward pass. A summed loop or ``einsum`` would
+reorder the sums and change them.
 """
 from __future__ import annotations
 
-import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalOverflowError, OverflowAbortError, ParameterError, require_integer
+from .errors import OverflowAbortError, ParameterError, require_integer
 from .rng import RngStream
-from .tail_distributions import FIXED_TAIL_BETA, SYMMETRIC_FAMILIES, _symmetric_draws
+from .tail_distributions import (
+    FIXED_TAIL_BETA,
+    SYMMETRIC_FAMILIES,
+    _laplace_from_uniforms,
+    _redraw_zero_uniforms,
+    _symmetric_draws,
+)
 
 SCALE_POLICIES = frozenset({"unit", "inv_sqrt_fan_in"})
 ACTIVATIONS = frozenset({"relu", "identity", "tanh"})
@@ -30,6 +47,10 @@ _INPUT_STREAM_ID = (1 << 64) - 1
 
 # fraction of replicates allowed to overflow before the run aborts
 OVERFLOW_ABORT_FRACTION = 1e-4
+
+# elements one block holds per thread: the deeper layers' weights and a unit per layer
+# of each replicate, so a block stays near 128 KiB whatever the widths
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -143,42 +164,93 @@ def _activate(name: str, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def forward_sample(config: NetworkConfig, input_vec: np.ndarray, rng: RngStream):
-    """One prior draw of all layers' (g, h) values of unit 0.
+def _block_size(config: NetworkConfig) -> int:
+    """Replicates per block: ``_BLOCK_ELEMENTS`` over the elements a replicate holds in a block."""
+    fan_ins = (config.input_dim, *config.widths[:-1])
+    deeper = sum(f * w for f, w in zip(fan_ins[1:], config.widths[1:]))
+    return max(1, _BLOCK_ELEMENTS // (deeper + sum(config.widths)))
 
-    All hidden units of each layer are computed; unit 0's values are
-    returned as two arrays of length ``depth``. Raises
-    NumericalOverflowError on a non-finite pre-activation.
+
+class _Layer(NamedTuple):
+    family: str
+    beta: float
+    scale: float
+    fan_in: int
+    width: int
+
+
+def _draw(gen: np.random.Generator, layer: _Layer, out: np.ndarray) -> None:
+    """Draw the layer's weights into the 1-D ``out`` from ``gen``, in stream order.
+
+    Gaussian weights are left as standard normals and Laplace weights as
+    uniforms in (0, 1), both for ``_finish``; generalized-Gaussian ones are
+    drawn whole.
     """
-    h = np.asarray(input_vec, dtype=np.float64)
-    if h.size != config.input_dim:
-        raise ParameterError(f"input has length {h.size}, config expects {config.input_dim}")
-    gen = rng.generator()
-    g_out = np.empty(config.depth)
-    h_out = np.empty(config.depth)
-    # an overflow is raised below, so numpy's warning for it only adds noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for idx, (prior, width) in enumerate(zip(config.layer_priors, config.widths)):
-            scale = _weight_scale(prior.scale_policy, h.size)
-            w = _symmetric_draws(gen, prior.family, prior.tail_beta_w, scale, (h.size, width))
-            g = h @ w
-            if not np.isfinite(g).all():
-                raise NumericalOverflowError(f"non-finite pre-activation at layer {idx + 1}")
-            h = _activate(config.activation, g)
-            g_out[idx] = g[0]
-            h_out[idx] = h[0]
-    return g_out, h_out
+    if layer.family == "gaussian":
+        gen.standard_normal(out=out)
+    elif layer.family == "laplace":
+        gen.random(out=out)
+        _redraw_zero_uniforms(gen, out)
+    else:
+        out[:] = _symmetric_draws(gen, layer.family, layer.beta, layer.scale, out.size)
+
+
+def _finish(layer: _Layer, w: np.ndarray, scratch: np.ndarray) -> None:
+    """Turn ``_draw``'s standard normals or uniforms in the 1-D ``w`` into weights, in place."""
+    if layer.family == "gaussian":
+        w *= layer.scale
+    elif layer.family == "laplace":
+        _laplace_from_uniforms(w, layer.scale, scratch[:w.size])
 
 
 def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, out: np.ndarray, start: int) -> None:
     """Fill column j of the NaN-filled ``out`` with unit 0's (g, h) of replicate ``start + j``.
 
-    An overflowed replicate keeps its NaNs; no other can hold one, since
-    forward_sample raises on any non-finite pre-activation.
+    Replicates run in blocks of ``_block_size(config)``. Each replicate
+    draws all its layers from its own stream, in layer order; its layer-1
+    product ``x @ W1`` is taken at once, from one weight buffer that every
+    replicate reuses. The deeper layers' weights wait in per-block buffers,
+    and each deeper layer is finished and multiplied once per block. A
+    replicate with a non-finite pre-activation in any unit keeps NaN in
+    every slot.
     """
-    for j in range(out.shape[2]):
-        with contextlib.suppress(NumericalOverflowError):
-            out[:, :, j] = forward_sample(config, input_vec, RngStream(config.seed, start + j))
+    fan_ins = (config.input_dim, *config.widths[:-1])
+    layers = [
+        _Layer(p.family, p.tail_beta_w, _weight_scale(p.scale_policy, f), f, w)
+        for p, f, w in zip(config.layer_priors, fan_ins, config.widths)
+    ]
+    first, *deeper = layers
+    block = _block_size(config)
+    w1 = np.empty(first.fan_in * first.width)
+    w1_matrix = w1.reshape(first.fan_in, first.width)
+    bufs = [np.empty((block, layer.fan_in * layer.width)) for layer in deeper]
+    laplace_sizes = [a.size for a, layer in zip([w1, *bufs], layers) if layer.family == "laplace"]
+    scratch = np.empty(max(laplace_sizes, default=0))
+    # a non-finite unit is marked below, so numpy's warning for it only adds noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0 in range(0, out.shape[2], block):
+            b = min(block, out.shape[2] - b0)
+            g = np.empty((b, first.width))
+            for j in range(b):
+                gen = RngStream(config.seed, start + b0 + j).generator()
+                _draw(gen, first, w1)
+                _finish(first, w1, scratch)
+                np.matmul(input_vec, w1_matrix, out=g[j])
+                for layer, buf in zip(deeper, bufs):
+                    _draw(gen, layer, buf[j])
+            rows = out[:, :, b0 : b0 + b]
+            h = _activate(config.activation, g)
+            bad = ~np.isfinite(g).all(axis=1)
+            rows[:, 0] = g[:, 0], h[:, 0]
+            for idx, (layer, buf) in enumerate(zip(deeper, bufs), 1):
+                w = buf[:b]
+                _finish(layer, w.reshape(-1), scratch)
+                # per replicate, the BLAS call its own h @ w would make, so the same bits
+                g = np.matmul(h[:, None, :], w.reshape(b, layer.fan_in, layer.width))[:, 0]
+                h = _activate(config.activation, g)
+                bad |= ~np.isfinite(g).all(axis=1)
+                rows[:, idx] = g[:, 0], h[:, 0]
+            rows[:, :, bad] = np.nan
 
 
 def run_prior_monte_carlo(config: NetworkConfig, workers: int = 1) -> UnitTrace:

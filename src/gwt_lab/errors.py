@@ -34,10 +34,6 @@ class DegenerateTailError(GwtLabError):
     """
 
 
-class NumericalOverflowError(GwtLabError):
-    """A forward pass produced a non-finite value; the message names the 1-based layer."""
-
-
 class OverflowAbortError(GwtLabError):
     """Too many Monte Carlo replicates overflowed; the run was aborted."""
 

@@ -200,22 +200,35 @@ def _laplace_draws(gen: np.random.Generator, scale: float, size) -> np.ndarray:
     """
     out = gen.random(size)
     flat = out.reshape(-1)
+    _redraw_zero_uniforms(gen, flat)
+    t = np.empty(min(flat.size, _LAPLACE_BLOCK))
+    for start in range(0, flat.size, _LAPLACE_BLOCK):
+        w = flat[start:start + _LAPLACE_BLOCK]
+        _laplace_from_uniforms(w, scale, t[:w.size])
+    return out
+
+
+def _redraw_zero_uniforms(gen: np.random.Generator, flat: np.ndarray) -> None:
+    """Replace each exact 0.0 in the 1-D uniforms ``flat`` by the stream's next uniform."""
     # u == 0 would map to inf; numpy's own Laplace sampler rejects it too
     while flat.size and flat.min() == 0.0:
         zero = np.flatnonzero(flat == 0.0)
         flat[zero] = gen.random(zero.size)
-    t = np.empty(min(flat.size, _LAPLACE_BLOCK))
-    for start in range(0, flat.size, _LAPLACE_BLOCK):
-        w = flat[start:start + _LAPLACE_BLOCK]
-        tw = t[:w.size]
-        w *= 2.0
-        w -= 1.0
-        np.abs(w, out=tw)
-        np.subtract(1.0, tw, out=tw)
-        np.log(tw, out=tw)
-        tw *= -scale
-        np.copysign(tw, w, out=w)
-    return out
+
+
+def _laplace_from_uniforms(w: np.ndarray, scale: float, t: np.ndarray) -> None:
+    """Turn the 1-D uniforms ``w`` into Laplace(0, ``scale``) variates in place; ``t`` is scratch of w's size.
+
+    Each variate depends on its own uniform alone, so any split of an array
+    into calls gives the same bits.
+    """
+    w *= 2.0
+    w -= 1.0
+    np.abs(w, out=t)
+    np.subtract(1.0, t, out=t)
+    np.log(t, out=t)
+    t *= -scale
+    np.copysign(t, w, out=w)
 
 
 def _oscillating_exponent(beta: float, x: np.ndarray) -> np.ndarray:

@@ -16,21 +16,54 @@ from gwt_lab import (
     EmpiricalTail,
     LayerPrior,
     NetworkConfig,
-    NumericalOverflowError,
     OverflowAbortError,
     ParameterError,
     RngStream,
     estimate_tail_index,
-    forward_sample,
     make_input,
     predicted_tail_parameter,
     run_prior_monte_carlo,
 )
 from gwt_lab import bnn_sampler
+from gwt_lab.bnn_sampler import _activate, _weight_scale
+from gwt_lab.tail_distributions import _symmetric_draws
 
 GAUSS = LayerPrior("gaussian", 2.0)
+LAPLACE = LayerPrior("laplace", 1.0)
+GG07 = LayerPrior("generalized_gaussian", 0.7)
 GAUSS_UNIT = LayerPrior("gaussian", 2.0, scale_policy="unit")
 HEAVY_UNIT = LayerPrior("generalized_gaussian", 0.05, scale_policy="unit")
+
+
+class NumericalOverflowError(Exception):
+    """A forward pass produced a non-finite value; the message names the 1-based layer."""
+
+
+def forward_sample(config: NetworkConfig, input_vec: np.ndarray, rng: RngStream):
+    """One prior draw of all layers' (g, h) values of unit 0.
+
+    All hidden units of each layer are computed; unit 0's values are
+    returned as two arrays of length ``depth``. Raises
+    NumericalOverflowError on a non-finite pre-activation.
+    """
+    h = np.asarray(input_vec, dtype=np.float64)
+    if h.size != config.input_dim:
+        raise ParameterError(f"input has length {h.size}, config expects {config.input_dim}")
+    gen = rng.generator()
+    g_out = np.empty(config.depth)
+    h_out = np.empty(config.depth)
+    # an overflow is raised below, so numpy's warning for it only adds noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (prior, width) in enumerate(zip(config.layer_priors, config.widths)):
+            scale = _weight_scale(prior.scale_policy, h.size)
+            w = _symmetric_draws(gen, prior.family, prior.tail_beta_w, scale, (h.size, width))
+            g = h @ w
+            if not np.isfinite(g).all():
+                raise NumericalOverflowError(f"non-finite pre-activation at layer {idx + 1}")
+            h = _activate(config.activation, g)
+            g_out[idx] = g[0]
+            h_out[idx] = h[0]
+    return g_out, h_out
 
 
 def heavy_identity_net(depth, n_samples):
@@ -56,6 +89,18 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return NetworkConfig(**base)
+
+
+def assert_trace_is_reference(trace, cfg):
+    """Each replicate's (g, h) bits equal forward_sample's on its stream, NaN where it raises."""
+    x = make_input(cfg.input_dim, cfg.seed)
+    want = np.full((2, cfg.depth, cfg.n_samples), np.nan)
+    for i in range(cfg.n_samples):
+        try:
+            want[:, :, i] = forward_sample(cfg, x, RngStream(cfg.seed, i))
+        except NumericalOverflowError:
+            pass
+    assert np.array([trace.g, trace.h]).tobytes() == want.tobytes()
 
 
 class TestLayerPrior:
@@ -134,16 +179,11 @@ class TestMakeInput:
 
 
 class TestForwardSample:
-    def test_zero_input_gives_zero_units(self):
-        cfg = small_config()
-        g, h = forward_sample(cfg, np.zeros(cfg.input_dim), RngStream(1))
-        np.testing.assert_array_equal(g, 0.0)
-        np.testing.assert_array_equal(h, 0.0)
-
-    def test_input_length_checked(self):
-        cfg = small_config()
-        with pytest.raises(ParameterError):
-            forward_sample(cfg, np.zeros(7), RngStream(1))
+    def test_zero_input_gives_zero_units(self, monkeypatch):
+        monkeypatch.setattr(bnn_sampler, "make_input", lambda dim, seed: np.zeros(dim))
+        trace = run_prior_monte_carlo(small_config(n_samples=50))
+        for a in trace.g + trace.h:
+            np.testing.assert_array_equal(a, 0.0)
 
     def test_depth_one_variance_matches_input_norm(self):
         """Unit-scale Gaussian weights: g1 ~ N(0, ||x||^2)."""
@@ -187,20 +227,6 @@ class TestForwardSample:
         est = estimate_tail_index(EmpiricalTail.from_samples(z, side="absolute"))
         assert 0.75 < est.beta_hat < 1.25
 
-    def test_overflow_carries_layer_index(self):
-        heavy = LayerPrior("generalized_gaussian", 0.05, scale_policy="unit")
-        cfg = NetworkConfig(
-            input_dim=4,
-            widths=(1,) * 40,
-            layer_priors=(heavy,) * 40,
-            activation="identity",
-            n_samples=1,
-            seed=1,
-        )
-        with pytest.raises(NumericalOverflowError, match=r"at layer (\d+)$") as err:
-            forward_sample(cfg, make_input(4, 1), RngStream(1, 0))
-        assert 1 <= int(str(err.value).rsplit(" ", 1)[1]) <= 40
-
     def test_overflow_raises_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -220,15 +246,44 @@ class TestRunPriorMonteCarlo:
             np.testing.assert_array_equal(h, np.maximum(g, 0.0))
             assert h.min() >= 0.0
 
-    def test_replicate_slots_match_forward_sample(self):
-        cfg = small_config(n_samples=50)
-        x = make_input(cfg.input_dim, cfg.seed)
-        trace = run_prior_monte_carlo(cfg)
-        for i in (0, 17, 49):
-            g, h = forward_sample(cfg, x, RngStream(cfg.seed, i))
-            for l in range(cfg.depth):
-                assert trace.g[l][i] == g[l]
-                assert trace.h[l][i] == h[l]
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("prior", [GAUSS, LAPLACE, GG07], ids=["gaussian", "laplace", "gg0.7"])
+    @pytest.mark.parametrize("input_dim,widths", [(10, (4, 3, 5, 4)), (7, (3, 5))], ids=["4-3-5-4", "odd"])
+    def test_every_replicate_matches_forward_sample(self, monkeypatch, input_dim, widths, prior, activation, workers):
+        """Every replicate is bit-equal to the one-replicate reference, across blocks and a partial last block.
+
+        The block is shrunk to 2 replicates on the 4-3-5-4 net and 5 on the odd
+        one (7 x 3 and 3 x 5 weights), so each chunk of 51 (1 worker) or 26
+        (2 workers) replicates holds several blocks, and the last chunk ends
+        in a partial one.
+        """
+        monkeypatch.setattr(bnn_sampler, "_BLOCK_ELEMENTS", 128)
+        cfg = small_config(
+            input_dim=input_dim, widths=widths, layer_priors=(prior,) * len(widths),
+            activation=activation, n_samples=203,
+        )
+        assert bnn_sampler._block_size(cfg) == {4: 2, 2: 5}[len(widths)]
+        assert_trace_is_reference(run_prior_monte_carlo(cfg, workers), cfg)
+
+    def test_default_block_matches_forward_sample(self):
+        """At the module's own block size, a chunk of 275 replicates is one full block and a partial one."""
+        cfg = small_config(input_dim=8, widths=(4,) * 4, layer_priors=(LAPLACE,) * 4, n_samples=1100)
+        assert bnn_sampler._block_size(cfg) == 256
+        assert_trace_is_reference(run_prior_monte_carlo(cfg, workers=1), cfg)
+
+    @pytest.mark.parametrize("block_elements", [bnn_sampler._BLOCK_ELEMENTS, 16])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowed_replicates_match_forward_sample(self, monkeypatch, workers, block_elements):
+        """A replicate that overflows anywhere is NaN in every slot, exactly where the reference raises."""
+        monkeypatch.setattr(bnn_sampler, "OVERFLOW_ABORT_FRACTION", 1.0)
+        monkeypatch.setattr(bnn_sampler, "_BLOCK_ELEMENTS", block_elements)
+        cfg = heavy_identity_net(12, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_prior_monte_carlo(cfg, workers)
+            assert_trace_is_reference(trace, cfg)
+        assert 0 < trace.overflow_replicates.size < cfg.n_samples
 
     def test_worker_count_does_not_change_results(self):
         cfg = small_config(n_samples=3000)
@@ -277,6 +332,24 @@ class TestRunPriorMonteCarlo:
         trace_bytes = 2 * cfg.depth * cfg.n_samples * 8
         assert peak < 1.5 * trace_bytes
 
+    def test_block_is_sized_in_elements(self):
+        """Wide layers shrink the block: at widths 64 the working memory stays under 1 MiB.
+
+        One replicate's layers 2 and 3 hold 2 x 64 x 64 weights (64 KiB), so a
+        block as long as a 300-replicate chunk would hold about 19.7 MB.
+        """
+        cfg = small_config(input_dim=8, widths=(64,) * 3, layer_priors=(GAUSS,) * 3, n_samples=2400)
+        run_prior_monte_carlo(small_config(n_samples=10), workers=2)  # first-call imports stay out of the peak
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_prior_monte_carlo(cfg, workers=2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        trace_bytes = 2 * cfg.depth * cfg.n_samples * 8
+        assert peak - trace_bytes < 2**20
+
     def test_huge_thread_count_capped_by_cpus(self, monkeypatch):
         """A pool never asks for more threads than CPUs; the stub runs chunks inline, starting none."""
         requested = []
@@ -306,19 +379,57 @@ class TestRunPriorMonteCarlo:
         for a, b in zip(capped.g + capped.h, solo.g + solo.h):
             np.testing.assert_array_equal(a, b)
 
-    def test_every_stream_drawn_in_process(self, monkeypatch):
-        """At two workers each replicate stream and the input stream is drawn once, in this process."""
-        drawn = []
+    @pytest.mark.parametrize(
+        "net",
+        [
+            dict(),
+            dict(input_dim=10, widths=(4, 3, 5, 4), layer_priors=(LAPLACE,) * 4, activation="tanh"),
+            dict(input_dim=7, widths=(3, 5), layer_priors=(GG07, LAPLACE), activation="identity"),
+        ],
+        ids=["gaussian", "laplace", "gg0.7-laplace"],
+    )
+    def test_every_stream_drawn_in_process(self, monkeypatch, net):
+        """At two workers each stream is drawn once, in this process, and each replicate draws its plan.
+
+        A replicate draws one variate per Gaussian or Laplace weight and two per
+        generalized-Gaussian weight (a magnitude and a sign), and the input
+        stream draws ``input_dim``.
+        """
+        streams = []
         generator = RngStream.generator
 
-        def recording_generator(stream):
-            drawn.append(stream.stream_id)
-            return generator(stream)
+        class CountingGenerator:
+            def __init__(self, stream):
+                self._gen = generator(stream)
+                self.stream_id, self.variates = stream.stream_id, 0
 
-        monkeypatch.setattr(RngStream, "generator", recording_generator)
-        cfg = small_config(n_samples=400)
+            def __getattr__(self, name):
+                draw = getattr(self._gen, name)
+
+                def counted(*args, **kwargs):
+                    out = draw(*args, **kwargs)
+                    self.variates += int(np.size(out))
+                    return out
+
+                return counted
+
+        def counting_generator(stream):
+            counted = CountingGenerator(stream)
+            streams.append(counted)
+            return counted
+
+        monkeypatch.setattr(RngStream, "generator", counting_generator)
+        cfg = small_config(n_samples=400, **net)
         run_prior_monte_carlo(cfg, workers=2)
-        assert sorted(drawn) == list(range(cfg.n_samples)) + [bnn_sampler._INPUT_STREAM_ID]
+        fan_ins = (cfg.input_dim, *cfg.widths[:-1])
+        per_replicate = sum(
+            (2 if p.family == "generalized_gaussian" else 1) * f * w
+            for p, f, w in zip(cfg.layer_priors, fan_ins, cfg.widths)
+        )
+        assert sorted(s.stream_id for s in streams) == list(range(cfg.n_samples)) + [bnn_sampler._INPUT_STREAM_ID]
+        for s in streams:
+            want = cfg.input_dim if s.stream_id == bnn_sampler._INPUT_STREAM_ID else per_replicate
+            assert s.variates == want
 
     def test_zero_input_flagged_degenerate(self, monkeypatch):
         cfg = small_config(n_samples=10)
