@@ -10,11 +10,12 @@ array; numpy's bulk draws and matmuls release the GIL, so threads share
 the work.
 
 Within a chunk, replicates run in blocks whose length is set by an element
-budget, not by the worker count. Each replicate still draws every layer
-from its own stream, in layer order, so blocks change no draw. For the
-layers after the first, the steps that draw nothing run once per block:
-scaling the Gaussian weights, turning the Laplace uniforms into variates,
-and the products. The stacked ``np.matmul(h[:, None, :], W)`` makes, for
+budget, not by the worker count. Weights come from the two phases that
+``tail_distributions`` owns: ``draw_unit`` takes a layer's unit-scale
+draws from the replicate's own stream, in layer order, so blocks change no
+draw, and ``to_scale`` finishes them, drawing nothing. For the layers after
+the first, ``to_scale`` (for the generalized Gaussian too) and the products
+run once per block. The stacked ``np.matmul(h[:, None, :], W)`` makes, for
 each replicate, the same BLAS call as that replicate's own ``h @ w``, and
 every other block step works elementwise, so each replicate keeps the
 bits of a one-replicate forward pass. A summed loop or ``einsum`` would
@@ -29,15 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OverflowAbortError, ParameterError, require_integer
+from .errors import OverflowAbortError, ParameterError, require_finite, require_integer
 from .rng import RngStream
-from .tail_distributions import (
-    FIXED_TAIL_BETA,
-    SYMMETRIC_FAMILIES,
-    _laplace_from_uniforms,
-    _redraw_zero_uniforms,
-    _symmetric_draws,
-)
+from .tail_distributions import FIXED_TAIL_BETA, SYMMETRIC_FAMILIES, draw_unit, to_scale
 
 SCALE_POLICIES = frozenset({"unit", "inv_sqrt_fan_in"})
 ACTIVATIONS = frozenset({"relu", "identity", "tanh"})
@@ -72,6 +67,7 @@ class LayerPrior:
             raise ParameterError(f"prior family must be one of {sorted(SYMMETRIC_FAMILIES)}")
         if self.scale_policy not in SCALE_POLICIES:
             raise ParameterError(f"scale_policy must be one of {sorted(SCALE_POLICIES)}")
+        require_finite("tail_beta_w", self.tail_beta_w)
         if not self.tail_beta_w > 0:
             raise ParameterError("tail_beta_w must be > 0")
         expected = FIXED_TAIL_BETA.get(self.family, self.tail_beta_w)
@@ -93,23 +89,19 @@ class NetworkConfig:
     seed: int
 
     def __post_init__(self):
-        require_integer("input_dim", self.input_dim)
-        require_integer("n_samples", self.n_samples)
+        require_integer("input_dim", self.input_dim, low=1)
+        require_integer("n_samples", self.n_samples, low=1)
         widths = tuple(self.widths)
         for w in widths:
-            require_integer("widths entry", w)
+            require_integer("widths entry", w, low=1)
         object.__setattr__(self, "widths", tuple(int(w) for w in widths))
         object.__setattr__(self, "layer_priors", tuple(self.layer_priors))
-        if self.input_dim < 1:
-            raise ParameterError("input_dim must be >= 1")
-        if len(self.widths) == 0 or any(w < 1 for w in self.widths):
+        if not self.widths:
             raise ParameterError("widths must be a nonempty list of counts >= 1")
         if len(self.layer_priors) != len(self.widths):
             raise ParameterError("need one LayerPrior per layer")
         if self.activation not in ACTIVATIONS:
             raise ParameterError(f"activation must be one of {sorted(ACTIVATIONS)}")
-        if self.n_samples < 1:
-            raise ParameterError("n_samples must be >= 1")
 
     @property
     def depth(self) -> int:
@@ -134,8 +126,7 @@ class UnitTrace:
 
 def make_input(input_dim: int, input_seed: int) -> np.ndarray:
     """Fixed standard-Gaussian input vector, sampled once per seed."""
-    if input_dim < 1:
-        raise ParameterError("input_dim must be >= 1")
+    require_integer("input_dim", input_dim, low=1)
     gen = RngStream(input_seed, _INPUT_STREAM_ID).generator()
     return gen.standard_normal(input_dim)
 
@@ -147,8 +138,7 @@ def predicted_tail_parameter(layer_priors, layer: int) -> float:
     ``1 / beta_layer = sum_{k<=layer} 1 / beta_w_k``.
     """
     priors = list(layer_priors)
-    if not 1 <= layer <= len(priors):
-        raise ParameterError(f"layer must be in 1..{len(priors)}, got {layer}")
+    require_integer("layer", layer, low=1, high=len(priors))
     return 1.0 / sum(1.0 / p.tail_beta_w for p in priors[:layer])
 
 
@@ -179,30 +169,6 @@ class _Layer(NamedTuple):
     width: int
 
 
-def _draw(gen: np.random.Generator, layer: _Layer, out: np.ndarray) -> None:
-    """Draw the layer's weights into the 1-D ``out`` from ``gen``, in stream order.
-
-    Gaussian weights are left as standard normals and Laplace weights as
-    uniforms in (0, 1), both for ``_finish``; generalized-Gaussian ones are
-    drawn whole.
-    """
-    if layer.family == "gaussian":
-        gen.standard_normal(out=out)
-    elif layer.family == "laplace":
-        gen.random(out=out)
-        _redraw_zero_uniforms(gen, out)
-    else:
-        out[:] = _symmetric_draws(gen, layer.family, layer.beta, layer.scale, out.size)
-
-
-def _finish(layer: _Layer, w: np.ndarray, scratch: np.ndarray) -> None:
-    """Turn ``_draw``'s standard normals or uniforms in the 1-D ``w`` into weights, in place."""
-    if layer.family == "gaussian":
-        w *= layer.scale
-    elif layer.family == "laplace":
-        _laplace_from_uniforms(w, layer.scale, scratch[:w.size])
-
-
 def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, out: np.ndarray, start: int) -> None:
     """Fill column j of the NaN-filled ``out`` with unit 0's (g, h) of replicate ``start + j``.
 
@@ -224,8 +190,8 @@ def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, out: np.ndarray, st
     w1 = np.empty(first.fan_in * first.width)
     w1_matrix = w1.reshape(first.fan_in, first.width)
     bufs = [np.empty((block, layer.fan_in * layer.width)) for layer in deeper]
-    laplace_sizes = [a.size for a, layer in zip([w1, *bufs], layers) if layer.family == "laplace"]
-    scratch = np.empty(max(laplace_sizes, default=0))
+    # Laplace scratch as large as the largest buffer, so each to_scale below is one pass
+    scratch = np.empty(max(a.size for a in (w1, *bufs)))
     # a non-finite unit is marked below, so numpy's warning for it only adds noise
     with np.errstate(over="ignore", invalid="ignore"):
         for b0 in range(0, out.shape[2], block):
@@ -233,18 +199,18 @@ def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, out: np.ndarray, st
             g = np.empty((b, first.width))
             for j in range(b):
                 gen = RngStream(config.seed, start + b0 + j).generator()
-                _draw(gen, first, w1)
-                _finish(first, w1, scratch)
+                draw_unit(gen, first.family, first.beta, w1)
+                to_scale(first.family, first.scale, w1, scratch)
                 np.matmul(input_vec, w1_matrix, out=g[j])
                 for layer, buf in zip(deeper, bufs):
-                    _draw(gen, layer, buf[j])
+                    draw_unit(gen, layer.family, layer.beta, buf[j])
             rows = out[:, :, b0 : b0 + b]
             h = _activate(config.activation, g)
             bad = ~np.isfinite(g).all(axis=1)
             rows[:, 0] = g[:, 0], h[:, 0]
             for idx, (layer, buf) in enumerate(zip(deeper, bufs), 1):
                 w = buf[:b]
-                _finish(layer, w.reshape(-1), scratch)
+                to_scale(layer.family, layer.scale, w.reshape(-1), scratch)
                 # per replicate, the BLAS call its own h @ w would make, so the same bits
                 g = np.matmul(h[:, None, :], w.reshape(b, layer.fan_in, layer.width))[:, 0]
                 h = _activate(config.activation, g)

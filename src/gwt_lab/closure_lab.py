@@ -19,6 +19,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     ParameterError,
+    require_integer,
 )
 from .rng import RngStream
 from .tail_distributions import SYMMETRIC_FAMILIES, DistributionSpec, sample_iid
@@ -182,6 +183,7 @@ def check_sum_rule(
     (student_t) is refused.
     """
     specs = list(specs)
+    require_integer("n", n, low=0)
     if len(specs) < 2:
         raise ParameterError("sum rule needs at least two specs")
     finite = [s.tail_beta for s in specs if s.tail_beta is not None]
@@ -322,8 +324,8 @@ def weight_unit_product_samples(
     are drawn in row blocks, in stream order, so the result keeps the bits
     of one-shot draws while the working memory stays near the output's.
     """
-    if n_units < 2:
-        raise ParameterError("need at least two product coordinates")
+    require_integer("n", n, low=0)
+    require_integer("n_units", n_units, low=2)
     gen = rng.generator()
     x_norm = np.linalg.norm(rng.child(1).generator().standard_normal(PRODUCT_NET_INPUT_DIM))
     block = _PRODUCT_ROW_BLOCK

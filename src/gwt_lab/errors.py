@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and the integer check behind ParameterError."""
+"""Exception types shared across the library, and the number checks behind ParameterError."""
 
+import math
 import numbers
 
 
@@ -11,10 +12,27 @@ class ParameterError(GwtLabError, ValueError):
     """Invalid distribution or configuration parameter."""
 
 
-def require_integer(name: str, value) -> None:
-    """Raise ParameterError unless ``value`` is an integer; bools and floats are refused."""
+def require_integer(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """Raise ParameterError unless ``value`` is an integer in ``low..high``; bools and floats are refused.
+
+    A bound left as None is not checked.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ParameterError(f"{name} must be <= {high}, got {value}")
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ParameterError unless ``value`` is a real number, not a bool, that float64 holds as finite."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        finite = False
+    if not finite:
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
 
 
 class DomainError(GwtLabError, ValueError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import require_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -43,11 +43,7 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ParameterError(f"{name} must be an integer, got {v!r}")
-            if not 0 <= v <= _MASK64:
-                raise ParameterError(f"{name} must fit in 64 unsigned bits, got {v}")
+            require_integer(name, getattr(self, name), low=0, high=_MASK64)
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
@@ -56,5 +52,12 @@ class RngStream:
         )
 
     def child(self, k: int) -> "RngStream":
-        """Derive a well-separated child stream (for fanning out sub-tasks)."""
+        """Derive a well-separated child stream (for fanning out sub-tasks).
+
+        ``k`` must be an integer in 0..2**64 - 2. ``_mix64`` reads ``k + 1``
+        modulo 2**64, so a larger or negative ``k`` repeats a child in that
+        range or, where ``k + 1`` wraps to 0, mixes in nothing: stream 0 is
+        then its own child.
+        """
+        require_integer("k", k, low=0, high=_MASK64 - 1)
         return RngStream(self.seed, _mix64(int(self.stream_id), int(k)))

@@ -16,17 +16,20 @@ oscillating_gwt       nonnegative, survival exp(-x**b * (1 + cos(ln x)**2));
                       oscillating factor is not slowly varying
 student_t             power tail; negative control, not Weibull-like
 point_mass            degenerate at a single value
+
+The symmetric families draw in two phases, for ``sample_iid`` and for the
+network weight priors alike: ``draw_unit`` takes every variate from the
+stream at unit scale, and ``to_scale`` finishes them in place, drawing
+nothing. This module alone decides each family's draw plan.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ParameterError, require_integer
+from .errors import ParameterError, require_finite, require_integer
 from .rng import RngStream
 
 # parameters each family requires (all but point_mass strictly positive)
@@ -42,23 +45,13 @@ _FAMILY_PARAMS = {
 FAMILIES = frozenset(_FAMILY_PARAMS)
 # the tail parameter of the families that have no shape; a shape is its family's tail parameter
 FIXED_TAIL_BETA = {"gaussian": 2.0, "laplace": 1.0}
-# the families _symmetric_draws samples; network weight priors must be one of them
+# the families draw_unit samples; network weight priors must be one of them
 SYMMETRIC_FAMILIES = frozenset({"gaussian", "laplace", "generalized_gaussian"})
 
 OSCILLATING_MIN_SHAPE = 2.0
 _INVERSION_TOL = 1e-12
 # uniforms turned into Laplace variates per pass; the pass's scratch stays in cache
 _LAPLACE_BLOCK = 2**14
-
-
-def _finite_real(value) -> bool:
-    """A real number, not a bool, that float64 holds as a finite value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
 
 
 @dataclass(frozen=True)
@@ -82,8 +75,7 @@ class DistributionSpec:
                 f"{self.family} requires params {sorted(required)}, got {sorted(given)}"
             )
         for name, value in self.params.items():
-            if not _finite_real(value):
-                raise ParameterError(f"{self.family}.{name} must be a finite number, got {value!r}")
+            require_finite(f"{self.family}.{name}", value)
             if name != "value" and value <= 0:
                 raise ParameterError(f"{self.family}.{name} must be > 0, got {value}")
         if self.family == "oscillating_gwt" and self.params["shape"] < OSCILLATING_MIN_SHAPE:
@@ -149,9 +141,7 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     A variate too large for float64 comes back as inf, without a warning;
     folding the samples refuses it.
     """
-    require_integer("n", n)
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    require_integer("n", n, low=0)
     g = rng.generator()
     p = spec.params
     if n == 0:
@@ -174,61 +164,59 @@ def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
 def _symmetric_draws(gen: np.random.Generator, family: str, beta, scale: float, size) -> np.ndarray:
     """Gaussian, Laplace or generalized-Gaussian (shape ``beta``) variates of ``size``.
 
-    Network weight priors draw through here too. Laplace inverts one
-    uniform per variate; the generalized Gaussian draws all its magnitudes,
-    then one uniform per sign.
+    Holds one array of ``size`` and one Laplace scratch block.
     """
-    if family == "gaussian":
-        return scale * gen.standard_normal(size)
-    if family == "laplace":
-        return _laplace_draws(gen, scale, size)
-    m = gen.gamma(1.0 / beta, 1.0, size)
-    np.power(m, 1.0 / beta, out=m)
-    m *= scale
-    u = gen.random(size)
-    u -= 0.5
-    return np.copysign(m, u, out=m)
-
-
-def _laplace_draws(gen: np.random.Generator, scale: float, size) -> np.ndarray:
-    """Laplace(0, ``scale``) variates of ``size``, by the inverse CDF of one uniform each.
-
-    With ``w = 2u - 1`` the draw is ``sign(w) * -scale * log(1 - |w|)``; both
-    steps are exact on numpy's 2**-53 grid, so the law is exactly symmetric.
-    The transform runs in place, a block at a time, to hold one array of
-    ``size`` and one block.
-    """
-    out = gen.random(size)
+    out = np.empty(size)
     flat = out.reshape(-1)
-    _redraw_zero_uniforms(gen, flat)
-    t = np.empty(min(flat.size, _LAPLACE_BLOCK))
-    for start in range(0, flat.size, _LAPLACE_BLOCK):
-        w = flat[start:start + _LAPLACE_BLOCK]
-        _laplace_from_uniforms(w, scale, t[:w.size])
+    draw_unit(gen, family, beta, flat)
+    to_scale(family, scale, flat, np.empty(min(max(flat.size, 1), _LAPLACE_BLOCK)))
     return out
 
 
-def _redraw_zero_uniforms(gen: np.random.Generator, flat: np.ndarray) -> None:
-    """Replace each exact 0.0 in the 1-D uniforms ``flat`` by the stream's next uniform."""
-    # u == 0 would map to inf; numpy's own Laplace sampler rejects it too
-    while flat.size and flat.min() == 0.0:
-        zero = np.flatnonzero(flat == 0.0)
-        flat[zero] = gen.random(zero.size)
+def draw_unit(gen: np.random.Generator, family: str, beta, out: np.ndarray) -> None:
+    """Fill the 1-D ``out`` with ``family``'s unit-scale draws from ``gen``, in stream order.
 
-
-def _laplace_from_uniforms(w: np.ndarray, scale: float, t: np.ndarray) -> None:
-    """Turn the 1-D uniforms ``w`` into Laplace(0, ``scale``) variates in place; ``t`` is scratch of w's size.
-
-    Each variate depends on its own uniform alone, so any split of an array
-    into calls gives the same bits.
+    Gaussian: standard normals. Laplace: uniforms in (0, 1), each exact 0.0
+    redrawn. Generalized Gaussian (shape ``beta``): every magnitude
+    ``gamma(1/beta) ** (1/beta)``, then one uniform per sign.
     """
-    w *= 2.0
-    w -= 1.0
-    np.abs(w, out=t)
-    np.subtract(1.0, t, out=t)
-    np.log(t, out=t)
-    t *= -scale
-    np.copysign(t, w, out=w)
+    if family == "gaussian":
+        gen.standard_normal(out=out)
+    elif family == "laplace":
+        gen.random(out=out)
+        # u == 0 would map to inf; numpy's own Laplace sampler rejects it too
+        while out.size and out.min() == 0.0:
+            zero = np.flatnonzero(out == 0.0)
+            out[zero] = gen.random(zero.size)
+    else:
+        gen.standard_gamma(1.0 / beta, out=out)
+        np.power(out, 1.0 / beta, out=out)
+        u = gen.random(out.size)
+        u -= 0.5
+        np.copysign(out, u, out=out)
+
+
+def to_scale(family: str, scale: float, w: np.ndarray, scratch: np.ndarray) -> None:
+    """Finish ``draw_unit``'s draws in the 1-D ``w`` as variates of ``scale``, in place, drawing nothing.
+
+    Laplace uniforms go through the inverse CDF ``sign(v) * -scale * log(1 - |v|)``,
+    ``v = 2u - 1``; both steps are exact on numpy's 2**-53 grid, so the law is
+    exactly symmetric. It runs one block of the nonempty ``scratch``'s size at a
+    time; each variate depends on its own uniform alone, so no block size moves a bit.
+    """
+    if family != "laplace":
+        w *= scale
+        return
+    for start in range(0, w.size, scratch.size):
+        v = w[start:start + scratch.size]
+        t = scratch[:v.size]
+        v *= 2.0
+        v -= 1.0
+        np.abs(v, out=t)
+        np.subtract(1.0, t, out=t)
+        np.log(t, out=t)
+        t *= -scale
+        np.copysign(t, v, out=v)
 
 
 def _oscillating_exponent(beta: float, x: np.ndarray) -> np.ndarray:

@@ -78,14 +78,10 @@ class FitWindow:
     min_points: int = 50
 
     def __post_init__(self):
-        require_integer("grid_size", self.grid_size)
-        require_integer("min_points", self.min_points)
+        require_integer("min_points", self.min_points, low=8)
+        require_integer("grid_size", self.grid_size, low=self.min_points)
         if not 0.0 < self.q_lo < self.q_hi < 1.0:
             raise ParameterError(f"need 0 < q_lo < q_hi < 1, got ({self.q_lo}, {self.q_hi})")
-        if self.min_points < 8:
-            raise ParameterError("min_points must be at least 8")
-        if self.grid_size < self.min_points:
-            raise ParameterError("grid_size must be >= min_points")
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,14 @@ class TestLayerPrior:
         with pytest.raises(ParameterError):
             LayerPrior("generalized_gaussian", 0.0)
 
+    @pytest.mark.parametrize(
+        "beta", ["2", True, float("inf"), float("nan"), 10**400], ids=["str", "bool", "inf", "nan", "huge-int"]
+    )
+    def test_tail_parameter_must_be_a_finite_real(self, beta):
+        """An infinite shape would draw exactly +-scale, a Rademacher law, not a tail."""
+        with pytest.raises(ParameterError):
+            LayerPrior("generalized_gaussian", beta)
+
     def test_asymmetric_families_rejected(self):
         with pytest.raises(ParameterError):
             LayerPrior("weibull", 1.0)

@@ -15,6 +15,7 @@ from gwt_lab import (
     EmpiricalTail,
     FitWindow,
     InsufficientDataError,
+    LayerPrior,
     ParameterError,
     RngStream,
     check_power_rule,
@@ -25,7 +26,9 @@ from gwt_lab import (
     estimate_pd_constant,
     estimate_tail_index,
     loglog_points,
+    make_input,
     negative_control_truncation,
+    predicted_tail_parameter,
     sample_iid,
     weight_unit_product_samples,
 )
@@ -311,6 +314,28 @@ def weight_net_products(n, n_units, x, gen):
     w2 = gen.standard_normal((n, PRODUCT_NET_HIDDEN_WIDTH, n_units))
     h2 = np.maximum(np.einsum("mk,mku->mu", h1, w2), 0.0)
     return gen.standard_normal((n, n_units)) * h2
+
+
+GAUSS_SPEC = DistributionSpec.gaussian()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: make_input(2.5, 1),
+        lambda rng: weight_unit_product_samples(2.5, 2, rng),
+        lambda rng: weight_unit_product_samples(-1, 2, rng),
+        lambda rng: weight_unit_product_samples(10, 2.0, rng),
+        lambda rng: check_sum_rule([GAUSS_SPEC, GAUSS_SPEC], -1, WINDOW, rng),
+        lambda rng: check_sum_rule([GAUSS_SPEC, GAUSS_SPEC], 2.5, WINDOW, rng),
+        lambda rng: predicted_tail_parameter([LayerPrior("gaussian", 2.0)], True),
+    ],
+    ids=["input_dim-float", "products-n-float", "products-n-negative", "products-units-float",
+         "sum-n-negative", "sum-n-float", "layer-bool"],
+)
+def test_public_functions_refuse_ill_typed_counts(call):
+    with pytest.raises(ParameterError):
+        call(RngStream(1))
 
 
 class TestWeightUnitProducts:

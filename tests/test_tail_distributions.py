@@ -21,6 +21,8 @@ from gwt_lab.tail_distributions import (
     _invert_oscillating_survival,
     _oscillating_exponent,
     _symmetric_draws,
+    draw_unit,
+    to_scale,
 )
 
 N_BIG = 10**6
@@ -186,8 +188,8 @@ class FirstUniformsZero:
         self._gen = np.random.default_rng(seed)
         self.drawn = []
 
-    def random(self, size=None):
-        u = self._gen.random(size)
+    def random(self, size=None, out=None):
+        u = self._gen.random(size, out=out)
         if len(self.drawn) < 2:
             u.flat[0] = 0.0
         self.drawn.append(np.array(u, copy=True))
@@ -246,6 +248,30 @@ def test_generalized_gaussian_bits_match_sign_times_magnitude(shape, scale):
     want = np.where(g.random(n) < 0.5, -1.0, 1.0) * magnitude
     got = _symmetric_draws(np.random.default_rng(21), "generalized_gaussian", shape, scale, n)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family,beta", [("gaussian", None), ("laplace", None), ("generalized_gaussian", 0.7)])
+@pytest.mark.parametrize("scratch_size", [1, 7, _LAPLACE_BLOCK, None])
+def test_two_phases_give_the_one_shot_bytes_at_any_scratch_size(family, beta, scratch_size):
+    """draw_unit then to_scale, at any scratch size, gives _symmetric_draws's bytes.
+
+    The stream then stands where the one-shot draw's numpy calls leave it.
+    None stands for a scratch as long as the weights.
+    """
+    n = _LAPLACE_BLOCK + 5
+    gen, one_shot, twin = (np.random.default_rng(13) for _ in range(3))
+    w = np.empty(n)
+    draw_unit(gen, family, beta, w)
+    to_scale(family, 0.6, w, np.empty(scratch_size or n))
+    assert w.tobytes() == _symmetric_draws(one_shot, family, beta, 0.6, n).tobytes()
+    if family == "gaussian":
+        twin.standard_normal(n)
+    elif family == "laplace":
+        twin.random(n)
+    else:
+        twin.gamma(1.0 / beta, 1.0, n)
+        twin.random(n)
+    assert gen.random() == one_shot.random() == twin.random()
 
 
 class TestExactSurvival:
