@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OverflowAbortError, ParameterError, require_finite, require_integer
+from .errors import OverflowAbortError, ParameterError, require_choice, require_finite, require_integer
 from .rng import RngStream
 from .tail_distributions import FIXED_TAIL_BETA, SYMMETRIC_FAMILIES, draw_unit, to_scale
 
@@ -63,13 +63,9 @@ class LayerPrior:
     scale_policy: str = "inv_sqrt_fan_in"
 
     def __post_init__(self):
-        if self.family not in SYMMETRIC_FAMILIES:
-            raise ParameterError(f"prior family must be one of {sorted(SYMMETRIC_FAMILIES)}")
-        if self.scale_policy not in SCALE_POLICIES:
-            raise ParameterError(f"scale_policy must be one of {sorted(SCALE_POLICIES)}")
-        require_finite("tail_beta_w", self.tail_beta_w)
-        if not self.tail_beta_w > 0:
-            raise ParameterError("tail_beta_w must be > 0")
+        require_choice("prior family", self.family, SYMMETRIC_FAMILIES)
+        require_choice("scale_policy", self.scale_policy, SCALE_POLICIES)
+        require_finite("tail_beta_w", self.tail_beta_w, positive=True)
         expected = FIXED_TAIL_BETA.get(self.family, self.tail_beta_w)
         if self.tail_beta_w != expected:
             raise ParameterError(
@@ -100,8 +96,7 @@ class NetworkConfig:
             raise ParameterError("widths must be a nonempty list of counts >= 1")
         if len(self.layer_priors) != len(self.widths):
             raise ParameterError("need one LayerPrior per layer")
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"activation must be one of {sorted(ACTIVATIONS)}")
+        require_choice("activation", self.activation, ACTIVATIONS)
 
     @property
     def depth(self) -> int:
@@ -229,6 +224,7 @@ def run_prior_monte_carlo(config: NetworkConfig, workers: int = 1) -> UnitTrace:
     ``(2, depth, n_samples)`` array. Aborts when more than 0.01 percent of
     replicates overflow.
     """
+    require_integer("workers", workers)
     input_vec = make_input(config.input_dim, config.seed)
     n = config.n_samples
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

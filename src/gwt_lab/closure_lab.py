@@ -19,6 +19,8 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     ParameterError,
+    require_choice,
+    require_finite,
     require_integer,
 )
 from .rng import RngStream
@@ -136,8 +138,7 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT) -> PDEstimate:
     n = x.shape[0]
     if n < _PD_MIN_SAMPLES:
         raise InsufficientDataError(f"PD estimation needs n >= {_PD_MIN_SAMPLES}, got {n}")
-    if side not in (SIDE_RIGHT, "left"):
-        raise ParameterError("side must be 'right' or 'left'")
+    require_choice("side", side, (SIDE_RIGHT, "left"))
     qs = np.array([1.0 - 1.0 / d for d in _Z_TAIL_DIVISORS if n >= PD_CELL_EVENTS * d])
     cond = x[:, -1]
     right = side == SIDE_RIGHT
@@ -248,8 +249,8 @@ def check_power_rule(
 
     ``spec`` must be in SYMMETRIC_FAMILIES; ``beta`` is its ``tail_beta``.
     """
-    if a <= 0 or b <= 0:
-        raise ParameterError("a and b must be > 0")
+    require_finite("a", a, positive=True)
+    require_finite("b", b, positive=True)
     beta = _require_symmetric_real(spec, "power rule")
     x = sample_iid(spec, n, rng.child(0))
     transformed = a * np.abs(x) ** b
@@ -270,8 +271,7 @@ def negative_control_truncation(
     estimator must refuse (degenerate or insufficient) or return a fit
     whose window never crosses 2m.
     """
-    if m <= 0:
-        raise ParameterError("m must be > 0")
+    require_finite("m", m, positive=True)
     x = sample_iid(spec, n, rng.child(0))
     flip = np.abs(x) > m
     # X and Y share one (n, 2) matrix, with Y = X negated where |X| > m
@@ -420,8 +420,8 @@ def closure_suite(suite: str, seed: int, n: int, window: FitWindow):
     floor. PD checks run in helpers: a suspended generator keeps its locals
     alive, so their sample matrices would stack on the next check's memory.
     """
-    if suite not in SUITES:
-        raise ParameterError(f"suite must be one of {SUITES}, got {suite!r}")
+    require_choice("suite", suite, SUITES)
+    require_integer("n", n, low=0)
     base = RngStream(seed)
     n_pd = max(n, _PD_MIN_SAMPLES)
     gauss, laplace = DistributionSpec.gaussian(), DistributionSpec.laplace()

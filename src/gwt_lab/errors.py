@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the number checks behind ParameterError."""
+"""Exception types, and the three rules that refuse a scalar: require_integer, require_finite, require_choice."""
 
 import math
 import numbers
@@ -25,14 +25,20 @@ def require_integer(name: str, value, low: int | None = None, high: int | None =
         raise ParameterError(f"{name} must be <= {high}, got {value}")
 
 
-def require_finite(name: str, value) -> None:
-    """Raise ParameterError unless ``value`` is a real number, not a bool, that float64 holds as finite."""
+def require_finite(name: str, value, positive: bool = False) -> None:
+    """Raise ParameterError unless ``value`` is a real, not a bool, finite in float64, and > 0 if ``positive``."""
     try:
         finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
     except OverflowError:  # an int beyond float range
         finite = False
-    if not finite:
-        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    if not finite or (positive and not value > 0):
+        raise ParameterError(f"{name} must be a finite {'positive ' if positive else ''}number, got {value!r}")
+
+
+def require_choice(name: str, value, choices) -> None:
+    """Raise ParameterError unless ``value`` is a str in ``choices``; a list is refused, never hashed."""
+    if not (isinstance(value, str) and value in choices):
+        raise ParameterError(f"{name} must be one of {sorted(choices)}, got {value!r}")
 
 
 class DomainError(GwtLabError, ValueError):

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ParameterError, require_finite, require_integer
+from .errors import ParameterError, require_choice, require_finite, require_integer
 from .rng import RngStream
 
 # parameters each family requires (all but point_mass strictly positive)
@@ -66,8 +66,7 @@ class DistributionSpec:
     params: Mapping[str, float]
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(f"unknown family {self.family!r}")
+        require_choice("family", self.family, FAMILIES)
         required = _FAMILY_PARAMS[self.family]
         given = set(self.params)
         if given != set(required):
@@ -75,9 +74,7 @@ class DistributionSpec:
                 f"{self.family} requires params {sorted(required)}, got {sorted(given)}"
             )
         for name, value in self.params.items():
-            require_finite(f"{self.family}.{name}", value)
-            if name != "value" and value <= 0:
-                raise ParameterError(f"{self.family}.{name} must be > 0, got {value}")
+            require_finite(f"{self.family}.{name}", value, positive=name != "value")
         if self.family == "oscillating_gwt" and self.params["shape"] < OSCILLATING_MIN_SHAPE:
             # the oscillating survival is only monotone for shape >= 2
             raise ParameterError(

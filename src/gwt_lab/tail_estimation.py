@@ -41,6 +41,8 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     ParameterError,
+    require_choice,
+    require_finite,
     require_integer,
 )
 
@@ -80,6 +82,8 @@ class FitWindow:
     def __post_init__(self):
         require_integer("min_points", self.min_points, low=8)
         require_integer("grid_size", self.grid_size, low=self.min_points)
+        require_finite("q_lo", self.q_lo)
+        require_finite("q_hi", self.q_hi)
         if not 0.0 < self.q_lo < self.q_hi < 1.0:
             raise ParameterError(f"need 0 < q_lo < q_hi < 1, got ({self.q_lo}, {self.q_hi})")
 
@@ -107,8 +111,8 @@ class EmpiricalTail:
         cls, samples, side: str = SIDE_RIGHT, q_keep: float = 0.0, overwrite: bool = False
     ) -> "EmpiricalTail":
         """Fold ``samples``; ``overwrite=True`` reorders a float64 array in place, like scipy's ``overwrite_a``."""
-        if side not in _SIDES:
-            raise ParameterError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
+        require_choice("side", side, _SIDES)
+        require_finite("q_keep", q_keep)
         if not 0.0 <= q_keep < 1.0:
             raise ParameterError(f"need 0 <= q_keep < 1, got {q_keep}")
         x = np.asarray(samples, dtype=np.float64).ravel()
@@ -365,8 +369,7 @@ def check_subweibull_envelope(
     fitted curve stays below the empirical exponent up to the
     multiplicative slack on -log S. A nonpositive fitted b fails outright.
     """
-    if theta <= 0:
-        raise ParameterError(f"theta must be > 0, got {theta}")
+    require_finite("theta", theta, positive=True)
     pts = loglog_points(tail, window)
     lnx, lny = pts[:, 0], pts[:, 1]
     y = np.exp(lny)
@@ -394,8 +397,8 @@ def check_gwt_envelope(
     slack, i.e. the empirical exponent must sit within
     [x**beta l_hi / slack, x**beta l_lo * slack] on the grid.
     """
-    if beta <= 0 or l_hi <= 0 or l_lo <= 0:
-        raise ParameterError("beta, l_lo, l_hi must all be > 0")
+    for name, value in (("beta", beta), ("l_lo", l_lo), ("l_hi", l_hi)):
+        require_finite(name, value, positive=True)
     if l_lo < l_hi:
         raise ParameterError("need l_lo >= l_hi (lower envelope decays faster)")
     pts = loglog_points(tail, window)
