@@ -73,6 +73,18 @@ class LayerPrior:
             )
 
 
+def _require_layer_priors(layer_priors) -> tuple[LayerPrior, ...]:
+    """``layer_priors`` as a tuple; ParameterError names the first entry that is not a LayerPrior."""
+    try:
+        priors = tuple(layer_priors)
+    except TypeError:
+        raise ParameterError(f"layer_priors must be a sequence of LayerPrior, got {layer_priors!r}") from None
+    for p in priors:
+        if not isinstance(p, LayerPrior):
+            raise ParameterError(f"layer_priors entry must be a LayerPrior, got {p!r}")
+    return priors
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture, priors and Monte Carlo budget of one experiment."""
@@ -91,7 +103,7 @@ class NetworkConfig:
         for w in widths:
             require_integer("widths entry", w, low=1)
         object.__setattr__(self, "widths", tuple(int(w) for w in widths))
-        object.__setattr__(self, "layer_priors", tuple(self.layer_priors))
+        object.__setattr__(self, "layer_priors", _require_layer_priors(self.layer_priors))
         if not self.widths:
             raise ParameterError("widths must be a nonempty list of counts >= 1")
         if len(self.layer_priors) != len(self.widths):
@@ -132,7 +144,7 @@ def predicted_tail_parameter(layer_priors, layer: int) -> float:
     The reciprocals of the per-layer weight tail parameters accumulate:
     ``1 / beta_layer = sum_{k<=layer} 1 / beta_w_k``.
     """
-    priors = list(layer_priors)
+    priors = _require_layer_priors(layer_priors)
     require_integer("layer", layer, low=1, high=len(priors))
     return 1.0 / sum(1.0 / p.tail_beta_w for p in priors[:layer])
 

@@ -59,6 +59,7 @@ RELATIVE_TOLERANCE = 0.15
 
 
 def closure_tolerance(predicted_beta: float, stderr: float) -> float:
+    require_finite("predicted_beta", predicted_beta, positive=True)
     return max(RELATIVE_TOLERANCE * predicted_beta, 2.0 * stderr)
 
 

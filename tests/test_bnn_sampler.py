@@ -145,6 +145,18 @@ class TestNetworkConfig:
                 small_config(n_samples=n_samples)
 
 
+def test_a_layer_prior_that_is_no_layer_prior_is_refused_by_name():
+    """A family name in place of a LayerPrior used to end in AttributeError, from a worker thread in a run."""
+    with pytest.raises(ParameterError, match="'gaussian'"):
+        small_config(widths=(2,), layer_priors=("gaussian",))
+    with pytest.raises(ParameterError, match="'gaussian'"):
+        predicted_tail_parameter(["gaussian"], 1)
+    with pytest.raises(ParameterError, match="layer_priors"):
+        small_config(widths=(2,), layer_priors=3)
+    with pytest.raises(ParameterError, match="layer_priors"):
+        predicted_tail_parameter(None, 1)
+
+
 class TestPredictedTailParameter:
     def test_all_gaussian_gives_two_over_depth(self):
         priors = [GAUSS] * 6

@@ -48,6 +48,15 @@ class TestTolerance:
     def test_stderr_floor(self):
         assert closure_tolerance(0.1, 0.5) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("predicted", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_a_nonfinite_or_nonpositive_prediction_is_refused(self, predicted):
+        """A NaN prediction used to fail silently, and an infinite one to pass any fit."""
+        with pytest.raises(ParameterError, match="predicted_beta"):
+            closure_tolerance(predicted, 0.1)
+        samples = sample_iid(GAUSS_SPEC, 10**4, RngStream(1))
+        with pytest.raises(ParameterError, match="predicted_beta"):
+            closure_lab.judge_tail("sum_min", predicted, samples, "right", FitWindow(0.9, 0.999))
+
 
 class TestEstimatePdConstant:
     def test_independent_pair_is_half(self):
