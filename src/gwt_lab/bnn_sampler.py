@@ -1,13 +1,13 @@
 """Monte Carlo prior sampling of feedforward network hidden units.
 
 Weights are drawn fresh per replicate from symmetric priors and a fixed
-input is propagated through the network; the pre- and post-activations
-of unit 0 are recorded per layer. Replicate ``i`` always draws
-from stream id ``i`` of the configured seed, so results are bitwise
-identical for any worker count. Chunks of replicates run on a thread
-pool in the calling process, each filling its own columns of one trace
-array; numpy's bulk draws and matmuls release the GIL, so threads share
-the work.
+input is propagated through the network; unit 0's pre-activation is
+stored per layer, its post-activation derived from it on read. Replicate
+``i`` always draws from stream id ``i`` of the configured seed, so results
+are bitwise identical for any worker count. Chunks of replicates run on a
+thread pool in the calling process, each filling its own columns of one
+trace array. Numpy's bulk draws and the per-block stacked matmul release
+the GIL; layer 1's vector-by-matrix ``np.matmul`` holds it.
 
 Within a chunk, replicates run in blocks whose length is set by an element
 budget, not by the worker count. Weights come from the two phases that
@@ -99,13 +99,13 @@ class NetworkConfig:
     def __post_init__(self):
         require_integer("input_dim", self.input_dim, low=1)
         require_integer("n_samples", self.n_samples, low=1)
-        widths = tuple(self.widths)
+        widths = tuple(self.widths) if np.iterable(self.widths) else ()
+        if not widths:
+            raise ParameterError(f"widths must be a nonempty list of counts >= 1, got {self.widths!r}")
         for w in widths:
             require_integer("widths entry", w, low=1)
         object.__setattr__(self, "widths", tuple(int(w) for w in widths))
         object.__setattr__(self, "layer_priors", _require_layer_priors(self.layer_priors))
-        if not self.widths:
-            raise ParameterError("widths must be a nonempty list of counts >= 1")
         if len(self.layer_priors) != len(self.widths):
             raise ParameterError("need one LayerPrior per layer")
         require_choice("activation", self.activation, ACTIVATIONS)
@@ -119,16 +119,21 @@ class NetworkConfig:
 class UnitTrace:
     """Per-layer samples of unit 0 from a Monte Carlo run.
 
-    ``g[l]`` and ``h[l]`` hold the pre- and post-activations of unit 0 in
-    layer ``l + 1`` over all replicates. Replicates that overflowed carry NaN
-    and are listed in ``overflow_replicates``.
+    ``g[l]`` holds the pre-activations of unit 0 in layer ``l + 1`` over all
+    replicates, a row of the run's one trace array. Replicates that
+    overflowed carry NaN and are listed in ``overflow_replicates``.
     """
 
     g: list[np.ndarray]
-    h: list[np.ndarray]
+    activation: str
     n_samples: int
     degenerate_input: bool
     overflow_replicates: np.ndarray
+
+    @property
+    def h(self) -> list[np.ndarray]:
+        """Post-activations of unit 0 per layer, computed from ``g`` on each read: fresh arrays, NaN kept."""
+        return [g.copy() if self.activation == "identity" else _activate(self.activation, g) for g in self.g]
 
 
 def make_input(input_dim: int, input_seed: int) -> np.ndarray:
@@ -177,15 +182,15 @@ class _Layer(NamedTuple):
 
 
 def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, out: np.ndarray, start: int) -> None:
-    """Fill column j of the NaN-filled ``out`` with unit 0's (g, h) of replicate ``start + j``.
+    """Fill column j of the NaN-filled ``(depth, m)`` ``out`` with unit 0's g of replicate ``start + j``.
 
     Replicates run in blocks of ``_block_size(config)``. Each replicate
     draws all its layers from its own stream, in layer order; its layer-1
     product ``x @ W1`` is taken at once, from one weight buffer that every
     replicate reuses. The deeper layers' weights wait in per-block buffers,
-    and each deeper layer is finished and multiplied once per block. A
-    replicate with a non-finite pre-activation in any unit keeps NaN in
-    every slot.
+    and each deeper layer is finished and multiplied once per block, from
+    the block's ``h``, which is not stored. A replicate with a non-finite
+    pre-activation in any unit keeps NaN in every slot.
     """
     fan_ins = (config.input_dim, *config.widths[:-1])
     layers = [
@@ -201,8 +206,8 @@ def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, out: np.ndarray, st
     scratch = np.empty(max(a.size for a in (w1, *bufs)))
     # a non-finite unit is marked below, so numpy's warning for it only adds noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0 in range(0, out.shape[2], block):
-            b = min(block, out.shape[2] - b0)
+        for b0 in range(0, out.shape[1], block):
+            b = min(block, out.shape[1] - b0)
             g = np.empty((b, first.width))
             for j in range(b):
                 gen = RngStream(config.seed, start + b0 + j).generator()
@@ -211,19 +216,18 @@ def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, out: np.ndarray, st
                 np.matmul(input_vec, w1_matrix, out=g[j])
                 for layer, buf in zip(deeper, bufs):
                     draw_unit(gen, layer.family, layer.beta, buf[j])
-            rows = out[:, :, b0 : b0 + b]
-            h = _activate(config.activation, g)
+            rows = out[:, b0 : b0 + b]
             bad = ~np.isfinite(g).all(axis=1)
-            rows[:, 0] = g[:, 0], h[:, 0]
+            rows[0] = g[:, 0]
             for idx, (layer, buf) in enumerate(zip(deeper, bufs), 1):
+                h = _activate(config.activation, g)
                 w = buf[:b]
                 to_scale(layer.family, layer.scale, w.reshape(-1), scratch)
                 # per replicate, the BLAS call its own h @ w would make, so the same bits
                 g = np.matmul(h[:, None, :], w.reshape(b, layer.fan_in, layer.width))[:, 0]
-                h = _activate(config.activation, g)
                 bad |= ~np.isfinite(g).all(axis=1)
-                rows[:, idx] = g[:, 0], h[:, 0]
-            rows[:, :, bad] = np.nan
+                rows[idx] = g[:, 0]
+            rows[:, bad] = np.nan
 
 
 def run_prior_monte_carlo(config: NetworkConfig, workers: int = 1) -> UnitTrace:
@@ -233,8 +237,8 @@ def run_prior_monte_carlo(config: NetworkConfig, workers: int = 1) -> UnitTrace:
     Replicate ``i`` uses stream id ``i`` of ``config.seed``, so the trace
     is identical for any worker count. ``workers`` threads, at most the
     CPUs this process may run on, fill disjoint column chunks of one
-    ``(2, depth, n_samples)`` array. Aborts when more than 0.01 percent of
-    replicates overflow.
+    ``(depth, n_samples)`` array of unit 0's pre-activations. Aborts when
+    more than 0.01 percent of replicates overflow.
     """
     require_integer("workers", workers)
     input_vec = make_input(config.input_dim, config.seed)
@@ -242,21 +246,20 @@ def run_prior_monte_carlo(config: NetworkConfig, workers: int = 1) -> UnitTrace:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(max(1, workers), cpus)
     chunk = min(20_000, -(-n // (workers * 4)))
-    trace = np.full((2, config.depth, n), np.nan)
+    trace = np.full((config.depth, n), np.nan)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         starts = range(0, n, chunk)
-        for fut in [pool.submit(_run_chunk, config, input_vec, trace[:, :, s : s + chunk], s) for s in starts]:
+        for fut in [pool.submit(_run_chunk, config, input_vec, trace[:, s : s + chunk], s) for s in starts]:
             fut.result()  # re-raises a chunk's exception
-    g, h = trace
-    overflowed = np.flatnonzero(np.isnan(g[0]))
+    overflowed = np.flatnonzero(np.isnan(trace[0]))
     if overflowed.size > OVERFLOW_ABORT_FRACTION * n:
         raise OverflowAbortError(
             f"{overflowed.size} of {n} replicates overflowed "
             f"(> {OVERFLOW_ABORT_FRACTION:.2%} abort threshold)"
         )
     return UnitTrace(
-        g=list(g),
-        h=list(h),
+        g=list(trace),
+        activation=config.activation,
         n_samples=n,
         degenerate_input=not np.any(input_vec),
         overflow_replicates=overflowed,

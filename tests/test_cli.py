@@ -915,6 +915,27 @@ GOLDEN_BUNDLES = {
         },
     ),
 }
+# The same bundles on the kernels of a CPU without AVX-512 that OpenBLAS treats as Haswell. The two
+# variables switch numpy's float64 kernels and OpenBLAS's matrix kernels for one process, at load.
+SECOND_KERNEL_PATH_ENV = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4", "OPENBLAS_CORETYPE": "Haswell"}
+SECOND_KERNEL_PATH_DIGESTS = {
+    "closure": {
+        "summary.json": "296c609749b706f3ca2b5ae31e13bf94d3cd878d0500c250fbd28475ca297ec7",
+        "curves.csv": "1d7b9b23c587d6172869ca8ca91124925c9c70695115ddf5f4b55fe25bc7a054",
+    },
+    "bnn": {
+        "summary.json": "f49d0970d9b7011a142393ea2541a5c1090db3dcfe0fdd5031162d0713bc3cb0",
+        "curves.csv": "6fac0ad07d6be45cf02063bf345265c4eee568fef521ee1aff04c4019804b8ea",
+    },
+    "estimate": {
+        "summary.json": "163daa65eb8055926e1e4256d8efe3b186504acd8d26eaecb5c4c30e31ec6da5",
+        "curves.csv": "be1c09d386a37f214790c492d72a87a23d3f367c3417765700eed6264a53e822",
+    },
+    "estimate_stdin": {
+        "summary.json": "fee47c22f6d999c83c0a1d17267d18386410c088164c819c275a8413898a93f8",
+        "curves.csv": "a81183bb43e30edf3b00c4c196a5f06137794bb378f72609228e680eda4a5b27",
+    },
+}
 # 1e5 standard normals rounded to 1/50, one per line
 TIE_HEAVY_VALUES = np.round(np.random.default_rng(9).standard_normal(10**5) * 50) / 50
 TIE_HEAVY_STDIN = "".join(f"{v!r}\n" for v in TIE_HEAVY_VALUES.tolist())
@@ -939,6 +960,37 @@ class TestGoldenBundles:
         out = tmp_path / "o"
         assert main([cfg["command"], "--config", write_config(tmp_path, **cfg), "--out", str(out)]) == status
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+
+    def test_second_kernel_path_bundle_digests(self, tmp_path):
+        """The same commands give the second digest set with numpy's AVX-512 kernels off and OpenBLAS on Haswell's.
+
+        Both variables act when a process loads numpy, so the four commands run in one
+        subprocess; ``estimate_stdin`` reads TIE_HEAVY_STDIN from its stdin, and no other
+        command reads stdin. Like the first set, this one holds on the machine class it was
+        recorded on, and only there do the variables pick these kernels.
+        """
+        jobs = {
+            command: [cfg["command"], write_config(tmp_path, f"{command}.json", **cfg), str(tmp_path / command)]
+            for command, (cfg, _, _) in GOLDEN_BUNDLES.items()
+        }
+        script = (
+            "import json, sys\n"
+            "import gwt_lab.cli\n"
+            "jobs = json.loads(sys.argv[1])\n"
+            "seen = {k: gwt_lab.cli.main([c, '--config', p, '--out', o]) for k, (c, p, o) in jobs.items()}\n"
+            "print(json.dumps(seen))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), GWT_LAB_THREADS="2", **SECOND_KERNEL_PATH_ENV)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(jobs)],
+            input=TIE_HEAVY_STDIN, env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == {k: v[1] for k, v in GOLDEN_BUNDLES.items()}
+        got = {
+            command: {name: hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest() for name in digests}
+            for command, digests in SECOND_KERNEL_PATH_DIGESTS.items()
+        }
+        assert got == SECOND_KERNEL_PATH_DIGESTS
 
 
 def test_every_estimate_folds_at_its_window(tmp_path, monkeypatch):

@@ -64,6 +64,9 @@ REFUSALS = [
     ("spec_family_list", "family", lambda: DistributionSpec(["gaussian"], {})),
     ("from_samples_side_list", "side", lambda: EmpiricalTail.from_samples(_samples(), side=["right"])),
     ("network_activation_list", "activation", lambda: _config(activation=["relu"])),
+    ("network_widths_int", "widths", lambda: _config(widths=5)),
+    ("network_widths_none", "widths", lambda: _config(widths=None)),
+    ("network_widths_float", "widths", lambda: _config(widths=2.5)),
     ("closure_suite_n_str", "n", lambda: next(closure_suite("sum", 1, "x", W))),
     ("monte_carlo_workers_str", "workers", lambda: run_prior_monte_carlo(_config(), "2")),
     ("monte_carlo_workers_float", "workers", lambda: run_prior_monte_carlo(_config(), 2.5)),
