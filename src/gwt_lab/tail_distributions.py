@@ -130,44 +130,36 @@ class DistributionSpec:
 def sample_iid(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     """Draw ``n`` independent variates from ``spec``.
 
-    Deterministic given ``(rng.seed, rng.stream_id)``. Within a stream the
-    draw order per family is fixed (Laplace inverts one uniform per variate;
-    the generalized Gaussian draws magnitudes before signs), so results are
-    stable across library versions of the same numpy generation code and,
-    for Laplace, the same numpy float64 ``log``.
+    Deterministic given the stream's whole key ``(rng.seed, rng.stream_id,
+    rng.path)``. Within a stream the draw order per family is fixed (Laplace
+    inverts one uniform per variate; the generalized Gaussian draws magnitudes
+    before signs), so results are stable across library versions of the same
+    numpy generation code and, for Laplace, the same numpy float64 ``log``.
     A variate too large for float64 comes back as inf, without a warning;
     folding the samples refuses it.
     """
     require_integer("n", n, low=0)
-    g = rng.generator()
     p = spec.params
+    family = spec.family
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    family = spec.family
+    if family == "point_mass":
+        return np.full(n, p["value"], dtype=np.float64)
+    g = rng.generator()
     if family in SYMMETRIC_FAMILIES:
-        return _symmetric_draws(g, family, p.get("shape"), p.get("sigma", p.get("scale")), n)
+        # one n-length array and one Laplace block: a second array would raise the closure suite's peak RSS
+        out = np.empty(n)
+        draw_unit(g, family, p.get("shape"), out)
+        to_scale(family, p.get("sigma", p.get("scale")), out, np.empty(min(n, _LAPLACE_BLOCK)))
+        return out
     if family == "weibull":
         return p["scale"] * g.weibull(p["shape"], n)
     if family == "oscillating_gwt":
         # u in (0, 1]; u == 1 maps to x == 0
         u = 1.0 - g.random(n)
         return _invert_oscillating_survival(p["shape"], -np.log(u))
-    if family == "student_t":
-        return p["scale"] * g.standard_t(p["dof"], n)
-    # point_mass
-    return np.full(n, p["value"], dtype=np.float64)
-
-
-def _symmetric_draws(gen: np.random.Generator, family: str, beta, scale: float, size) -> np.ndarray:
-    """Gaussian, Laplace or generalized-Gaussian (shape ``beta``) variates of ``size``.
-
-    Holds one array of ``size`` and one Laplace scratch block.
-    """
-    out = np.empty(size)
-    flat = out.reshape(-1)
-    draw_unit(gen, family, beta, flat)
-    to_scale(family, scale, flat, np.empty(min(max(flat.size, 1), _LAPLACE_BLOCK)))
-    return out
+    # student_t
+    return p["scale"] * g.standard_t(p["dof"], n)
 
 
 def draw_unit(gen: np.random.Generator, family: str, beta, out: np.ndarray) -> None:

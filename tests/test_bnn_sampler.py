@@ -26,7 +26,7 @@ from gwt_lab import (
 )
 from gwt_lab import bnn_sampler
 from gwt_lab.bnn_sampler import _activate, _weight_scale
-from gwt_lab.tail_distributions import _symmetric_draws
+from gwt_lab.tail_distributions import draw_unit, to_scale
 
 GAUSS = LayerPrior("gaussian", 2.0)
 LAPLACE = LayerPrior("laplace", 1.0)
@@ -56,7 +56,10 @@ def forward_sample(config: NetworkConfig, input_vec: np.ndarray, rng: RngStream)
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (prior, width) in enumerate(zip(config.layer_priors, config.widths)):
             scale = _weight_scale(prior.scale_policy, h.size)
-            w = _symmetric_draws(gen, prior.family, prior.tail_beta_w, scale, (h.size, width))
+            w = np.empty((h.size, width))
+            flat = w.reshape(-1)
+            draw_unit(gen, prior.family, prior.tail_beta_w, flat)
+            to_scale(prior.family, scale, flat, np.empty(flat.size))
             g = h @ w
             if not np.isfinite(g).all():
                 raise NumericalOverflowError(f"non-finite pre-activation at layer {idx + 1}")

@@ -3,8 +3,10 @@
 import ast
 import errno
 import hashlib
+import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -936,6 +938,27 @@ SECOND_KERNEL_PATH_DIGESTS = {
         "curves.csv": "a81183bb43e30edf3b00c4c196a5f06137794bb378f72609228e680eda4a5b27",
     },
 }
+
+
+def kernel_canaries():
+    """Which float64 and BLAS kernels this process runs, as two readings that tell the paths apart.
+
+    The first is how many of 4,096 fixed values ``np.log`` rounds differently from
+    ``math.log``; the second is the sha256 of a fixed product shaped like a golden net's
+    layer 1, which OpenBLAS computes with the kernels it picked for the CPU.
+    """
+    u = np.random.default_rng(0).random(4096) + 0.5
+    log_misses = int(np.count_nonzero(np.log(u) != np.array([math.log(v) for v in u.tolist()])))
+    y = np.random.default_rng(4).standard_normal(10**4)
+    b = np.random.default_rng(3).standard_normal((10**4, 4))
+    return log_misses, hashlib.sha256((y @ b).tobytes()).hexdigest()
+
+
+# kernel_canaries() on the two recorded kernel paths: numpy's AVX-512 kernels with OpenBLAS's pick for
+# that CPU, and the second path, which the same CPU takes with SECOND_KERNEL_PATH_ENV set
+FIRST_KERNEL_PATH_CANARIES = (19, "96da9b053703996ef385fd69e25d4a2f836ad9ce038f82bda170c5a0b37b7c6a")
+SECOND_KERNEL_PATH_CANARIES = (0, "97c4dd2b14d59f683112d30f733b11f3d8fe39653c811fdde112c29cfc34857b")
+
 # 1e5 standard normals rounded to 1/50, one per line
 TIE_HEAVY_VALUES = np.round(np.random.default_rng(9).standard_normal(10**5) * 50) / 50
 TIE_HEAVY_STDIN = "".join(f"{v!r}\n" for v in TIE_HEAVY_VALUES.tolist())
@@ -951,41 +974,58 @@ class TestGoldenBundles:
         and then they need re-recording from a commit known to be correct. Every
         bundle's bits also depend on the CPU: numpy dispatches its float64 kernels
         (``log`` among them) by the CPU's features, and OpenBLAS picks its matrix
-        kernels, used by the forward pass and the fit, by CPU type. So the digests
-        hold only on the machine class they were recorded on (AVX-512 numpy kernels).
+        kernels, used by the forward pass and the fit, by CPU type. So the test reads
+        ``kernel_canaries()`` first and compares with the digest set recorded on the
+        path it reads: GOLDEN_BUNDLES on the first, SECOND_KERNEL_PATH_DIGESTS on the
+        second. A reading of neither path fails, naming both canary values.
         """
         cfg, status, digests = GOLDEN_BUNDLES[command]
+        recorded = {
+            FIRST_KERNEL_PATH_CANARIES: digests,
+            SECOND_KERNEL_PATH_CANARIES: SECOND_KERNEL_PATH_DIGESTS[command],
+        }
+        canaries = kernel_canaries()
+        if canaries not in recorded:
+            pytest.fail(f"no digest set for these kernels: log misses {canaries[0]}, product sha256 {canaries[1]}")
         monkeypatch.setenv("GWT_LAB_THREADS", "2")
         monkeypatch.setattr("sys.stdin", io.StringIO(TIE_HEAVY_STDIN))
         out = tmp_path / "o"
         assert main([cfg["command"], "--config", write_config(tmp_path, **cfg), "--out", str(out)]) == status
-        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+        assert got == recorded[canaries]
 
     def test_second_kernel_path_bundle_digests(self, tmp_path):
         """The same commands give the second digest set with numpy's AVX-512 kernels off and OpenBLAS on Haswell's.
 
         Both variables act when a process loads numpy, so the four commands run in one
-        subprocess; ``estimate_stdin`` reads TIE_HEAVY_STDIN from its stdin, and no other
-        command reads stdin. Like the first set, this one holds on the machine class it was
-        recorded on, and only there do the variables pick these kernels.
+        subprocess, which first reads ``kernel_canaries()``: they must read the second
+        path. ``estimate_stdin`` reads TIE_HEAVY_STDIN from its stdin, and no other
+        command reads stdin. Only on the machine class the first set was recorded on do
+        the variables pick other kernels; on a machine of the second class this repeats
+        the default-path test.
         """
         jobs = {
             command: [cfg["command"], write_config(tmp_path, f"{command}.json", **cfg), str(tmp_path / command)]
             for command, (cfg, _, _) in GOLDEN_BUNDLES.items()
         }
         script = (
-            "import json, sys\n"
+            "import hashlib, json, math, sys\n"
+            "import numpy as np\n"
             "import gwt_lab.cli\n"
+            f"{inspect.getsource(kernel_canaries)}"
+            "canaries = kernel_canaries()\n"
             "jobs = json.loads(sys.argv[1])\n"
             "seen = {k: gwt_lab.cli.main([c, '--config', p, '--out', o]) for k, (c, p, o) in jobs.items()}\n"
-            "print(json.dumps(seen))\n"
+            "print(json.dumps([canaries, seen]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC), GWT_LAB_THREADS="2", **SECOND_KERNEL_PATH_ENV)
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps(jobs)],
             input=TIE_HEAVY_STDIN, env=env, capture_output=True, text=True, timeout=300, check=True,
         )
-        assert json.loads(proc.stdout.strip().splitlines()[-1]) == {k: v[1] for k, v in GOLDEN_BUNDLES.items()}
+        canaries, seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert tuple(canaries) == SECOND_KERNEL_PATH_CANARIES
+        assert seen == {k: v[1] for k, v in GOLDEN_BUNDLES.items()}
         got = {
             command: {name: hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest() for name in digests}
             for command, digests in SECOND_KERNEL_PATH_DIGESTS.items()

@@ -20,7 +20,6 @@ from gwt_lab.tail_distributions import (
     FAMILIES,
     _invert_oscillating_survival,
     _oscillating_exponent,
-    _symmetric_draws,
     draw_unit,
     to_scale,
 )
@@ -144,6 +143,17 @@ class TestSampleIid:
         x = sample_iid(DistributionSpec.weibull(1.0, 1.0), N_BIG, RngStream(3))
         assert abs((x >= 1.0).mean() - np.exp(-1)) < 0.005
 
+    def test_builds_no_generator_it_does_not_use(self, monkeypatch):
+        """A point mass and an empty draw return before the stream's generator is built."""
+
+        def refuse(self):
+            raise AssertionError("generator built for a draw that needs none")
+
+        monkeypatch.setattr(RngStream, "generator", refuse)
+        x = sample_iid(DistributionSpec.point_mass(2.5), 100, RngStream(0))
+        np.testing.assert_array_equal(x, np.full(100, 2.5))
+        assert sample_iid(DistributionSpec.gaussian(), 0, RngStream(1)).shape == (0,)
+
     def test_point_mass_is_constant(self):
         x = sample_iid(DistributionSpec.point_mass(2.5), 100, RngStream(0))
         np.testing.assert_array_equal(x, np.full(100, 2.5))
@@ -199,28 +209,31 @@ class FirstUniformsZero:
 class TestLaplaceDraws:
     def test_inverse_cdf_at_float_precision(self):
         scale = 0.7
-        x = _symmetric_draws(np.random.default_rng(5), "laplace", None, scale, N_BIG)
-        u = np.random.default_rng(5).random(N_BIG)
+        x = sample_iid(DistributionSpec.laplace(scale), N_BIG, RngStream(5))
+        u = RngStream(5).generator().random(N_BIG)
         np.testing.assert_allclose(x, laplace_by_math(u, scale), rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize(
-        "size",
-        [0, 1, 7, (3, 5), _LAPLACE_BLOCK - 1, _LAPLACE_BLOCK, 3 * _LAPLACE_BLOCK + 5, (_LAPLACE_BLOCK + 3, 2)],
-    )
+    @pytest.mark.parametrize("size", [0, 1, 7, _LAPLACE_BLOCK - 1, _LAPLACE_BLOCK, 3 * _LAPLACE_BLOCK + 5])
     def test_sizes_and_stream_position(self, size):
-        """One uniform per variate: the stream ends where gen.random(size) leaves it."""
+        """One uniform per variate: the stream ends where gen.random(size) leaves it.
+
+        to_scale runs in blocks of _LAPLACE_BLOCK, so the sizes straddle one and three blocks.
+        """
         gen, twin = np.random.default_rng(9), np.random.default_rng(9)
-        x = _symmetric_draws(gen, "laplace", None, 2.0, size)
+        x = np.empty(size)
+        draw_unit(gen, "laplace", None, x)
+        to_scale("laplace", 2.0, x, np.empty(_LAPLACE_BLOCK))
         u = twin.random(size)
-        assert x.shape == u.shape
-        np.testing.assert_allclose(x.ravel(), laplace_by_math(u, 2.0), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(x, laplace_by_math(u, 2.0), rtol=1e-15, atol=0)
         assert gen.random() == twin.random()
 
     def test_zero_uniform_is_redrawn(self):
         gen = FirstUniformsZero(3)
+        x = np.empty(1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = _symmetric_draws(gen, "laplace", None, 1.0, 1000)
+            draw_unit(gen, "laplace", None, x)
+            to_scale("laplace", 1.0, x, np.empty(_LAPLACE_BLOCK))
         assert np.isfinite(x).all()
         # the zero is replaced by the next uniform, which is itself zero once
         first, redraw, again = gen.drawn
@@ -232,7 +245,7 @@ class TestLaplaceDraws:
         n = N_BIG
         tracemalloc.start()
         try:
-            _symmetric_draws(np.random.default_rng(1), "laplace", None, 1.0, n)
+            sample_iid(DistributionSpec.laplace(), n, RngStream(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -243,27 +256,28 @@ class TestLaplaceDraws:
 def test_generalized_gaussian_bits_match_sign_times_magnitude(shape, scale):
     """The in-place draw gives the bits of scale * gamma**(1/shape) times a -1/+1 sign."""
     n = 10**5
-    g = np.random.default_rng(21)
+    g = RngStream(21).generator()
     magnitude = scale * g.gamma(1.0 / shape, 1.0, n) ** (1.0 / shape)
     want = np.where(g.random(n) < 0.5, -1.0, 1.0) * magnitude
-    got = _symmetric_draws(np.random.default_rng(21), "generalized_gaussian", shape, scale, n)
+    got = sample_iid(DistributionSpec.generalized_gaussian(shape, scale), n, RngStream(21))
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("family,beta", [("gaussian", None), ("laplace", None), ("generalized_gaussian", 0.7)])
 @pytest.mark.parametrize("scratch_size", [1, 7, _LAPLACE_BLOCK, None])
 def test_two_phases_give_the_one_shot_bytes_at_any_scratch_size(family, beta, scratch_size):
-    """draw_unit then to_scale, at any scratch size, gives _symmetric_draws's bytes.
+    """draw_unit then to_scale, at any scratch size, gives sample_iid's bytes.
 
-    The stream then stands where the one-shot draw's numpy calls leave it.
+    The stream then stands where the family's numpy draws leave it.
     None stands for a scratch as long as the weights.
     """
     n = _LAPLACE_BLOCK + 5
-    gen, one_shot, twin = (np.random.default_rng(13) for _ in range(3))
+    spec = DistributionSpec.generalized_gaussian(beta, 0.6) if beta else getattr(DistributionSpec, family)(0.6)
+    gen, twin = RngStream(13).generator(), RngStream(13).generator()
     w = np.empty(n)
     draw_unit(gen, family, beta, w)
     to_scale(family, 0.6, w, np.empty(scratch_size or n))
-    assert w.tobytes() == _symmetric_draws(one_shot, family, beta, 0.6, n).tobytes()
+    assert w.tobytes() == sample_iid(spec, n, RngStream(13)).tobytes()
     if family == "gaussian":
         twin.standard_normal(n)
     elif family == "laplace":
@@ -271,7 +285,7 @@ def test_two_phases_give_the_one_shot_bytes_at_any_scratch_size(family, beta, sc
     else:
         twin.gamma(1.0 / beta, 1.0, n)
         twin.random(n)
-    assert gen.random() == one_shot.random() == twin.random()
+    assert gen.random() == twin.random()
 
 
 class TestExactSurvival:
