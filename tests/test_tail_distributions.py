@@ -213,18 +213,24 @@ class TestLaplaceDraws:
         u = RngStream(5).generator().random(N_BIG)
         np.testing.assert_allclose(x, laplace_by_math(u, scale), rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("size", [0, 1, 7, _LAPLACE_BLOCK - 1, _LAPLACE_BLOCK, 3 * _LAPLACE_BLOCK + 5])
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, 7, (3, 5), _LAPLACE_BLOCK - 1, _LAPLACE_BLOCK, 3 * _LAPLACE_BLOCK + 5, (_LAPLACE_BLOCK + 3, 2)],
+    )
     def test_sizes_and_stream_position(self, size):
         """One uniform per variate: the stream ends where gen.random(size) leaves it.
 
         to_scale runs in blocks of _LAPLACE_BLOCK, so the sizes straddle one and three blocks.
+        A tuple size is a weight matrix, drawn as the sampler draws one: through its flat view.
         """
         gen, twin = np.random.default_rng(9), np.random.default_rng(9)
         x = np.empty(size)
-        draw_unit(gen, "laplace", None, x)
-        to_scale("laplace", 2.0, x, np.empty(_LAPLACE_BLOCK))
+        flat = x.reshape(-1)
+        draw_unit(gen, "laplace", None, flat)
+        to_scale("laplace", 2.0, flat, np.empty(_LAPLACE_BLOCK))
         u = twin.random(size)
-        np.testing.assert_allclose(x, laplace_by_math(u, 2.0), rtol=1e-15, atol=0)
+        assert x.shape == u.shape
+        np.testing.assert_allclose(x.ravel(), laplace_by_math(u, 2.0), rtol=1e-15, atol=0)
         assert gen.random() == twin.random()
 
     def test_zero_uniform_is_redrawn(self):
