@@ -11,6 +11,7 @@ these rules and for the per-layer depth rule of ``gwt-lab bnn``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -51,7 +52,8 @@ _PD_MIN_SAMPLES = 100 * PD_CELL_EVENTS
 # two-layer ReLU net behind weight_unit_product_samples
 PRODUCT_NET_INPUT_DIM = 16
 PRODUCT_NET_HIDDEN_WIDTH = 4
-# rows per block of its draws: the bits do not depend on it, only the memory does
+# rows per block of the PD checks' draws: each layer reads its own stream in row
+# order, so the bits do not depend on it, only the working memory does
 _PRODUCT_ROW_BLOCK = 2**14
 
 # relative band plus noise floor: slowly-varying bias scales with beta
@@ -165,9 +167,14 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT) -> PDEstimate:
     return PDEstimate(c_hat=float(per_z.min()), z_grid=z_grid, per_z_conditional=per_z, side=side, cell_events=counts)
 
 
-def judge_tail(rule: str, predicted: float, samples, side: str, window: FitWindow) -> ClosureReport:
-    """Fit the tail of ``samples`` folded on ``side`` and judge it against ``predicted``."""
-    estimate, points = estimate_with_points(samples, side, window)
+def judge_tail(
+    rule: str, predicted: float, samples, side: str, window: FitWindow, overwrite: bool = False
+) -> ClosureReport:
+    """Fit the tail of ``samples`` folded on ``side`` and judge it against ``predicted``.
+
+    ``overwrite`` is ``EmpiricalTail.from_samples``'s: a check folds the array it owns in place.
+    """
+    estimate, points = estimate_with_points(samples, side, window, overwrite)
     return ClosureReport(rule, predicted, estimate, closure_tolerance(predicted, estimate.stderr_slope), points)
 
 
@@ -196,7 +203,7 @@ def check_sum_rule(
     total = np.zeros(n)
     for k, spec in enumerate(specs):
         total += sample_iid(spec, n, rng.child(k))
-    return judge_tail(RULE_SUM_MIN, min(finite), total, SIDE_RIGHT, window)
+    return judge_tail(RULE_SUM_MIN, min(finite), total, SIDE_RIGHT, window, overwrite=True)
 
 
 def _require_symmetric_real(spec: DistributionSpec, what: str) -> float:
@@ -234,8 +241,8 @@ def check_product_rule(
         beta_y = _require_symmetric_real(spec_y, "product rule")
         predicted = 1.0 / (1.0 / beta_x + 1.0 / beta_y)
     x = sample_iid(spec_x, n, rng.child(0))
-    y = sample_iid(spec_y, n, rng.child(1))
-    return judge_tail(RULE_PRODUCT_HARMONIC, predicted, x * y, SIDE_ABSOLUTE, window)
+    x *= sample_iid(spec_y, n, rng.child(1))
+    return judge_tail(RULE_PRODUCT_HARMONIC, predicted, x, SIDE_ABSOLUTE, window, overwrite=True)
 
 
 def check_power_rule(
@@ -254,8 +261,10 @@ def check_power_rule(
     require_finite("b", b, positive=True)
     beta = _require_symmetric_real(spec, "power rule")
     x = sample_iid(spec, n, rng.child(0))
-    transformed = a * np.abs(x) ** b
-    return judge_tail(RULE_POWER, beta / b, transformed, SIDE_RIGHT, window)
+    np.abs(x, out=x)
+    np.power(x, b, out=x)
+    np.multiply(x, a, out=x)
+    return judge_tail(RULE_POWER, beta / b, x, SIDE_RIGHT, window, overwrite=True)
 
 
 def negative_control_truncation(
@@ -306,6 +315,34 @@ def negative_control_truncation(
     )
 
 
+def _row_blocks(n: int):
+    """The (lo, hi) bounds that split n rows into blocks of ``_PRODUCT_ROW_BLOCK``, in row order."""
+    for lo in range(0, n, _PRODUCT_ROW_BLOCK):
+        yield lo, min(lo + _PRODUCT_ROW_BLOCK, n)
+
+
+def _product_row_blocks(n: int, n_units: int, rng: RngStream):
+    """The rows of ``weight_unit_product_samples``, one (rows, n_units) block at a time, in row order.
+
+    Each layer reads its own stream in row order, as that docstring says, so no
+    block size moves a bit. A row's ||h1|| is the root of its squared columns
+    added one by one, which is faster than ``np.linalg.norm`` on so few columns.
+    """
+    x_norm = np.linalg.norm(rng.child(1).generator().standard_normal(PRODUCT_NET_INPUT_DIM))
+    hidden, pre, weights = rng.generator(), rng.child(2).generator(), rng.child(3).generator()
+    for lo, hi in _row_blocks(n):
+        h1 = hidden.standard_normal((hi - lo, PRODUCT_NET_HIDDEN_WIDTH))
+        h1 *= x_norm
+        np.maximum(h1, 0.0, out=h1)
+        h1 *= h1
+        h1_norm = np.sqrt(reduce(np.add, h1.T))
+        block = pre.standard_normal((hi - lo, n_units))
+        block *= h1_norm[:, None]
+        np.maximum(block, 0.0, out=block)
+        block *= weights.standard_normal((hi - lo, n_units))
+        yield block
+
+
 def weight_unit_product_samples(
     n: int,
     n_units: int,
@@ -321,29 +358,41 @@ def weight_unit_product_samples(
     The net has N(0, 1) weights, so each layer is drawn through its exact
     collapse: given h, ``h @ W`` is N(0, ||h||^2 I), and a row needs
     4 + 2 n_units normals instead of one per weight. The units of a row
-    stay dependent through the shared ||h1||. The first and last layers
-    are drawn in row blocks, in stream order, so the result keeps the bits
-    of one-shot draws while the working memory stays near the output's.
+    stay dependent through the shared ||h1||. The hidden layer draws from
+    ``rng``, the pre-activations from ``rng.child(2)`` and the output weights
+    from ``rng.child(3)``; child 1 is the fixed input. Each stream is read in
+    row order, a block of rows at a time, so the result has the bits of
+    drawing each layer in one call, and the working memory stays near the
+    output's.
     """
     require_integer("n", n, low=0)
     require_integer("n_units", n_units, low=2)
-    gen = rng.generator()
-    x_norm = np.linalg.norm(rng.child(1).generator().standard_normal(PRODUCT_NET_INPUT_DIM))
-    block = _PRODUCT_ROW_BLOCK
-    h1_norm = np.empty((n, 1))
-    for lo in range(0, n, block):
-        h1 = gen.standard_normal((min(block, n - lo), PRODUCT_NET_HIDDEN_WIDTH))
-        h1 *= x_norm
-        np.maximum(h1, 0.0, out=h1)
-        h1_norm[lo : lo + block] = np.linalg.norm(h1, axis=1, keepdims=True)
-    out = gen.standard_normal(out=np.empty((n, n_units)))
-    out *= h1_norm
-    del h1_norm
-    np.maximum(out, 0.0, out=out)
-    for lo in range(0, n, block):
-        rows = out[lo : lo + block]
-        rows *= gen.standard_normal(rows.shape)
+    out = np.empty((n, n_units))
+    for (lo, hi), block in zip(_row_blocks(n), _product_row_blocks(n, n_units, rng)):
+        out[lo:hi] = block
     return out
+
+
+def _pd_pair(blocks, n: int, with_max: bool = False):
+    """The row blocks of an (n, N) joint reduced to ``[min of columns 0..N-2, column N-1]``.
+
+    ``estimate_pd_constant`` asks whether every column but the last lies on one
+    side of zero: all >= 0 holds exactly when their minimum is >= 0, and all <= 0
+    exactly when their maximum is <= 0. So it gives the right-side estimate of the
+    joint on this pair, field for field, and the left-side one on the pair with
+    the row maximum of columns 0..N-2 in column 0. ``with_max`` also returns that
+    maximum (else None). Both go column by column: an ``axis=1`` reduction is
+    slower on so few columns.
+    """
+    pair = np.empty((n, 2))
+    row_max = np.empty(n) if with_max else None
+    for (lo, hi), block in zip(_row_blocks(n), blocks):
+        others = block[:, :-1].T
+        pair[lo:hi, 0] = reduce(np.minimum, others)
+        pair[lo:hi, 1] = block[:, -1]
+        if with_max:
+            row_max[lo:hi] = reduce(np.maximum, others)
+    return pair, row_max
 
 
 # ----------------------------- canned suite -----------------------------
@@ -391,22 +440,34 @@ def _truncation_result(name: str, rep: TruncationReport, passed: bool, **extra) 
 
 
 def _pd_independent_result(name: str, n_coords: int, expected: float, n: int, rng: RngStream) -> CheckResult:
-    pd = estimate_pd_constant(rng.generator().standard_normal((n, n_coords)))
+    gen = rng.generator()
+    # row blocks of one generator read the stream as one (n, n_coords) draw does
+    pair, _ = _pd_pair((gen.standard_normal((hi - lo, n_coords)) for lo, hi in _row_blocks(n)), n)
+    pd = estimate_pd_constant(pair)
     return CheckResult(name, "pd", abs(pd.c_hat - expected) <= 0.05, {"pd": asdict(pd)})
 
 
 def _pd_counter_monotone_result(n: int, rng: RngStream) -> CheckResult:
+    pair = np.empty((n, 2))
     x = rng.generator().standard_normal(n)
-    pd = estimate_pd_constant(np.column_stack([x, -x]))
+    pair[:, 0] = x
+    np.negative(x, out=pair[:, 1])
+    del x
+    pd = estimate_pd_constant(pair)
     # PD is expected to fail here; the control passes when c_hat is tiny
     fields = {"pd": asdict(pd), "expected_fail_of_pd": True}
     return CheckResult("pd_counter_monotone_control", "pd", pd.c_hat <= 0.05, fields)
 
 
 def _pd_lemma_result(n_units: int, n: int, rng: RngStream) -> CheckResult:
-    joint = weight_unit_product_samples(n, n_units, rng)
-    right = estimate_pd_constant(joint, side="right")
-    left = estimate_pd_constant(joint, side="left")
+    """The lemma's checks on ``weight_unit_product_samples(n, n_units, rng)``, which is never held whole."""
+    with_max = n_units > 2  # with two units, the pair is the joint
+    pair, row_max = _pd_pair(_product_row_blocks(n, n_units, rng), n, with_max)
+    right = estimate_pd_constant(pair, side="right")
+    if with_max:
+        pair[:, 0] = row_max
+        del row_max
+    left = estimate_pd_constant(pair, side="left")
     floor = 1.0 / 2 ** (n_units - 1) - 0.05
     passed = right.c_hat >= floor and left.c_hat >= floor
     fields = {"pd": asdict(right), "pd_left": asdict(left)}

@@ -50,7 +50,7 @@ SYMMETRIC_FAMILIES = frozenset({"gaussian", "laplace", "generalized_gaussian"})
 
 OSCILLATING_MIN_SHAPE = 2.0
 _INVERSION_TOL = 1e-12
-# uniforms turned into Laplace variates per pass; the pass's scratch stays in cache
+# uniforms turned into Laplace variates, or generalized-Gaussian signs, per pass; the pass's scratch stays in cache
 _LAPLACE_BLOCK = 2**14
 
 
@@ -180,9 +180,13 @@ def draw_unit(gen: np.random.Generator, family: str, beta, out: np.ndarray) -> N
     else:
         gen.standard_gamma(1.0 / beta, out=out)
         np.power(out, 1.0 / beta, out=out)
-        u = gen.random(out.size)
-        u -= 0.5
-        np.copysign(out, u, out=out)
+        # the sign uniforms come a block at a time, in stream order, so no second n-array is held
+        u = np.empty(min(out.size, _LAPLACE_BLOCK))
+        for start in range(0, out.size, _LAPLACE_BLOCK):
+            w = out[start:start + _LAPLACE_BLOCK]
+            t = gen.random(out=u[:w.size])
+            t -= 0.5
+            np.copysign(w, t, out=w)
 
 
 def to_scale(family: str, scale: float, w: np.ndarray, scratch: np.ndarray) -> None:

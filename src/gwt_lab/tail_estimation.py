@@ -110,7 +110,7 @@ class EmpiricalTail:
     def from_samples(
         cls, samples, side: str = SIDE_RIGHT, q_keep: float = 0.0, overwrite: bool = False
     ) -> "EmpiricalTail":
-        """Fold ``samples``; ``overwrite=True`` reorders a float64 array in place, like scipy's ``overwrite_a``."""
+        """Fold ``samples``; ``overwrite=True`` folds and reorders a float64 array in place, like scipy's ``overwrite_a``."""
         require_choice("side", side, _SIDES)
         require_finite("q_keep", q_keep)
         if not 0.0 <= q_keep < 1.0:
@@ -121,7 +121,10 @@ class EmpiricalTail:
         if not np.isfinite(x).all():
             raise DomainError("samples must be finite")
         n = x.size
-        x = np.abs(x) if side == SIDE_ABSOLUTE else x if overwrite else x.copy()
+        if side == SIDE_ABSOLUTE:
+            x = np.abs(x, out=x if overwrite else None)
+        elif not overwrite:
+            x = x.copy()
         k = int((n - 1) * float(q_keep))  # the index _sorted_quantiles reads at q_keep
         if k:
             x.partition(k)

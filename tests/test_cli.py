@@ -872,7 +872,7 @@ GOLDEN_BUNDLES = {
         {"command": "closure", "seed": 7, "suite": "all", "n_samples": 100000},
         0,
         {
-            "summary.json": "3bb3fe96737cd4fcc80c7451cd8f082b0a5218cfcde5e007f948aa6d94f27d31",
+            "summary.json": "50b0119db7ad1a1f70d226e3d5b8d8c11337bc2fb1e704a098c22f46274465cb",
             "curves.csv": "7b483a8b507a58b451bb7dc6964feefe0f6cd83041d06b14c8652851183d7dea",
         },
     ),
@@ -922,7 +922,7 @@ GOLDEN_BUNDLES = {
 SECOND_KERNEL_PATH_ENV = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4", "OPENBLAS_CORETYPE": "Haswell"}
 SECOND_KERNEL_PATH_DIGESTS = {
     "closure": {
-        "summary.json": "296c609749b706f3ca2b5ae31e13bf94d3cd878d0500c250fbd28475ca297ec7",
+        "summary.json": "8f5bf8faa492632fc9e5ba06e7b9e30dca5628d38df004a76e0e75dc75574f33",
         "curves.csv": "1d7b9b23c587d6172869ca8ca91124925c9c70695115ddf5f4b55fe25bc7a054",
     },
     "bnn": {
@@ -1051,7 +1051,10 @@ def test_every_estimate_folds_at_its_window(tmp_path, monkeypatch):
         (GOLDEN_BUNDLES["bnn"][0], {0}, [(0.9, False)] * 2),
         # estimate on stdin (default q_lo 0.95): the parsed array is the command's own
         ({"command": "estimate", "seed": 3}, {0}, [(0.95, True)]),
-        (dict(closure, suite="sum"), {0, 1}, [(0.9, False)] * 3),
+        # every rule check folds the sums, products or powers it drew
+        (dict(closure, suite="sum"), {0, 1}, [(0.9, True)] * 3),
+        (dict(closure, suite="product"), {0, 1}, [(0.9, True)] * 3),
+        (dict(closure, suite="power"), {0, 1}, [(0.9, True)] * 3),
         # the two truncation controls own their sums; the student-t envelope check does not
         (dict(closure, suite="negatives"), {0, 1}, [(0.9, True), (0.9, True), (0.9, False)]),
     ]

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -472,12 +473,12 @@ class TestPdMatchesReference:
 
 
 def products_one_shot(n, n_units, rng):
-    """``weight_unit_product_samples`` with every layer drawn in one call: its bitwise reference."""
-    gen = rng.generator()
+    """``weight_unit_product_samples`` with each layer drawn in one call from its own stream: its bitwise reference."""
     x_norm = np.linalg.norm(rng.child(1).generator().standard_normal(PRODUCT_NET_INPUT_DIM))
-    h1 = np.maximum(x_norm * gen.standard_normal((n, PRODUCT_NET_HIDDEN_WIDTH)), 0.0)
-    h2 = np.maximum(np.linalg.norm(h1, axis=1, keepdims=True) * gen.standard_normal((n, n_units)), 0.0)
-    return gen.standard_normal((n, n_units)) * h2
+    h1 = np.maximum(x_norm * rng.generator().standard_normal((n, PRODUCT_NET_HIDDEN_WIDTH)), 0.0)
+    h1_norm = np.sqrt((h1 * h1).sum(axis=1, keepdims=True))
+    h2 = np.maximum(h1_norm * rng.child(2).generator().standard_normal((n, n_units)), 0.0)
+    return rng.child(3).generator().standard_normal((n, n_units)) * h2
 
 
 def traced_peak_bytes(fn):
@@ -508,7 +509,7 @@ class TestProductRowBlocks:
         assert peak < 2.5 * out.nbytes
 
     def test_closure_checks_hold_few_sample_arrays(self):
-        """No check of the full suite holds more than 8 float64 arrays of its sample size at once."""
+        """No check of the full suite holds 5 float64 arrays of its sample size at once."""
         n = 2 * 10**5
         checks = closure_suite("all", 7, n, WINDOW)
         peaks = {}
@@ -524,4 +525,53 @@ class TestProductRowBlocks:
         finally:
             tracemalloc.stop()
         assert len(peaks) == 18
-        assert max(peaks.values()) < 8, peaks
+        assert max(peaks.values()) < 5, peaks
+
+
+def assert_same_pd(got: dict, want: dict, where=None):
+    """Two PD records, field for field and bit for bit."""
+    assert got.keys() == want.keys(), where
+    for key, value in want.items():
+        assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), (where, key)
+
+
+class TestPdPair:
+    """The PD checks estimate on two columns what ``estimate_pd_constant`` gives on the whole joint."""
+
+    @pytest.mark.parametrize("n_coords", [2, 3, 4])
+    def test_pair_gives_the_joint_estimate_on_both_sides(self, n_coords):
+        n = 123_457
+        samples = {
+            "tied": tied_joint(n, n_coords, 60 + n_coords),
+            "lemma": weight_unit_product_samples(n, n_coords, RngStream(65 + n_coords)),
+        }
+        for kind, joint in samples.items():
+            blocks = (joint[lo:hi] for lo, hi in closure_lab._row_blocks(n))
+            pair, row_max = closure_lab._pd_pair(blocks, n, with_max=True)
+            right = estimate_pd_constant(pair, side="right")
+            assert_same_pd(asdict(right), asdict(estimate_pd_constant(joint, side="right")), (kind, "right"))
+            pair[:, 0] = row_max
+            left = estimate_pd_constant(pair, side="left")
+            assert_same_pd(asdict(left), asdict(estimate_pd_constant(joint, side="left")), (kind, "left"))
+
+    @pytest.mark.parametrize("n_units", [2, 3, 4])
+    def test_lemma_records_are_the_joint_estimates(self, n_units):
+        n = 10**5 + 17
+        result = closure_lab._pd_lemma_result(n_units, n, RngStream(76))
+        joint = weight_unit_product_samples(n, n_units, RngStream(76))
+        for key, side in (("pd", "right"), ("pd_left", "left")):
+            assert_same_pd(result.fields[key], asdict(estimate_pd_constant(joint, side=side)), key)
+
+    @pytest.mark.parametrize("n_coords", [2, 3])
+    def test_independent_check_estimates_one_joint_draw(self, n_coords):
+        """Row blocks of one generator draw what one (n, N) call draws."""
+        n = 10**5 + 17
+        result = closure_lab._pd_independent_result("x", n_coords, 0.5, n, RngStream(77))
+        joint = RngStream(77).generator().standard_normal((n, n_coords))
+        assert_same_pd(result.fields["pd"], asdict(estimate_pd_constant(joint)))
+
+    def test_counter_monotone_control_estimates_x_and_minus_x(self):
+        n = 10**5 + 17
+        result = closure_lab._pd_counter_monotone_result(n, RngStream(78))
+        x = RngStream(78).generator().standard_normal(n)
+        assert_same_pd(result.fields["pd"], asdict(estimate_pd_constant(np.column_stack([x, -x]))))

@@ -246,12 +246,14 @@ class TestLaplaceDraws:
         assert redraw.tolist() == [0.0] and again.size == 1
         np.testing.assert_allclose(x, laplace_by_math(np.concatenate([again, first[1:]]), 1.0), rtol=1e-15)
 
-    def test_holds_one_array_and_one_block(self):
+    @pytest.mark.parametrize("spec", [DistributionSpec.laplace(), DistributionSpec.generalized_gaussian(1.5)],
+                             ids=["laplace", "generalized_gaussian"])
+    def test_holds_one_array_and_one_block(self, spec):
         """A second array of the draw's size would lift the closure suite's peak RSS."""
         n = N_BIG
         tracemalloc.start()
         try:
-            sample_iid(DistributionSpec.laplace(), n, RngStream(1))
+            sample_iid(spec, n, RngStream(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

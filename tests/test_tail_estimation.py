@@ -1,5 +1,7 @@
 """Tests for empirical survival, the tail-index fit and the envelope checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -178,6 +180,24 @@ class TestPartialFold:
         kept = EmpiricalTail.from_samples(x.copy(), q_keep=0.95).sorted_samples
         EmpiricalTail.from_samples(x, q_keep=0.95, overwrite=True)
         np.testing.assert_array_equal(np.sort(x[-kept.size:]), kept)
+
+    @pytest.mark.parametrize("q_keep", [0.0, 0.95])
+    def test_absolute_overwrite_folds_in_place(self, q_keep):
+        """The absolute fold takes |x| in the caller's array: the same bytes, and no second array of its size."""
+        n = 10**6
+        x = np.random.default_rng(7).standard_normal(n)
+        want = EmpiricalTail.from_samples(x, "absolute", q_keep)
+        tracemalloc.start()
+        try:
+            got = EmpiricalTail.from_samples(x, "absolute", q_keep, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.sorted_samples.tobytes() == want.sorted_samples.tobytes()
+        assert (got.n_below, got.q_keep) == (want.n_below, want.q_keep)
+        assert (x >= 0).all()
+        # a fold without overwrite holds a second 8 n bytes; this one only its bool masks and a 0.95 fold's kept block
+        assert peak < 0.4 * 8 * n
 
 
 class TestFitWindow:
