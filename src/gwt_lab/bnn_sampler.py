@@ -6,8 +6,9 @@ stored per layer, its post-activation derived from it on read. Replicate
 ``i`` always draws from stream id ``i`` of the configured seed, so results
 are bitwise identical for any worker count. Chunks of replicates run on a
 thread pool in the calling process, each filling its own columns of one
-trace array. Numpy's bulk draws and the per-block stacked matmul release
-the GIL; layer 1's vector-by-matrix ``np.matmul`` holds it.
+trace array. Numpy's bulk draws, the per-block stacked matmul and layer 1's
+vector-by-matrix ``np.dot`` release the GIL (a vector-by-matrix
+``np.matmul`` would hold it, for the same bits).
 
 Within a chunk, replicates run in blocks whose length is set by an element
 budget, not by the worker count. Weights come from the two phases that
@@ -213,7 +214,7 @@ def _run_chunk(config: NetworkConfig, input_vec: np.ndarray, out: np.ndarray, st
                 gen = RngStream(config.seed, start + b0 + j).generator()
                 draw_unit(gen, first.family, first.beta, w1)
                 to_scale(first.family, first.scale, w1, scratch)
-                np.matmul(input_vec, w1_matrix, out=g[j])
+                np.dot(input_vec, w1_matrix, out=g[j])
                 for layer, buf in zip(deeper, bufs):
                     draw_unit(gen, layer.family, layer.beta, buf[j])
             rows = out[:, b0 : b0 + b]

@@ -124,31 +124,33 @@ def _cell_counts(ascending: np.ndarray, z_grid: np.ndarray, right: bool) -> np.n
     return np.searchsorted(ascending, z_grid, side="right")
 
 
-def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT) -> PDEstimate:
-    """Empirical PD constant of a joint sample matrix, conditioned on its last column.
+def estimate_pd_constant(cond, on_side, side: str = SIDE_RIGHT) -> PDEstimate:
+    """Empirical PD constant from the conditioning column and the side mask of the other coordinates.
 
-    For each z on the grid, computes P(all other coordinates >= 0 |
-    X_cond >= z) on the right side (both inequalities flipped on the
-    left). The grid keeps each quantile q = 1 - 1/d of 0.5, 0.9, 0.99,
-    0.999 and 0.9999 of the conditioning coordinate whose cell expects
-    n / d >= ``PD_CELL_EVENTS`` events, compared in integers, so that
-    n = 1e6 keeps 0.999 at exactly 1000; every cell must hold that many.
-    The conditioning column must be finite.
+    ``cond`` is the conditioning coordinate, shape ``(n,)``. ``on_side`` is a
+    bool mask of the same shape, True where every other coordinate lies on
+    the side of zero: >= 0 for the right side, <= 0 for the left. For each z
+    on the grid, computes P(on_side | cond >= z) on the right side (cond <= z
+    on the left). The grid keeps each quantile q = 1 - 1/d of 0.5, 0.9, 0.99,
+    0.999 and 0.9999 of ``cond`` whose cell expects n / d >= ``PD_CELL_EVENTS``
+    events, compared in integers, so that n = 1e6 keeps 0.999 at exactly
+    1000; every cell must hold that many. ``cond`` must be finite. The grid
+    and the counts come from a sorted copy of ``cond``, which is freed before
+    the passing rows are gathered and sorted.
     """
-    x = np.asarray(joint_samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ParameterError("joint_samples must be an (n, N) matrix with N >= 2")
-    n = x.shape[0]
+    cond = np.asarray(cond, dtype=np.float64)
+    on_side = np.asarray(on_side)
+    if cond.ndim != 1:
+        raise ParameterError("cond must be an (n,) column")
+    # only a bool array selects rows: a raw column would be read as truthiness or as row indices
+    if on_side.dtype != np.bool_ or on_side.shape != cond.shape:
+        raise ParameterError("on_side must be a bool mask of cond's shape")
+    n = cond.size
     if n < _PD_MIN_SAMPLES:
         raise InsufficientDataError(f"PD estimation needs n >= {_PD_MIN_SAMPLES}, got {n}")
     require_choice("side", side, (SIDE_RIGHT, "left"))
     qs = np.array([1.0 - 1.0 / d for d in _Z_TAIL_DIVISORS if n >= PD_CELL_EVENTS * d])
-    cond = x[:, -1]
     right = side == SIDE_RIGHT
-    on_side = np.greater_equal if right else np.less_equal
-    all_ok = on_side(x[:, 0], 0)
-    for j in range(1, x.shape[1] - 1):
-        all_ok &= on_side(x[:, j], 0)
     # cells are counted by binary search on sorted copies: all rows, then the rows that pass
     ranked = np.sort(cond)
     if not np.isfinite(ranked[[0, -1]]).all():  # a sort puts every NaN and inf at an end
@@ -157,7 +159,7 @@ def estimate_pd_constant(joint_samples, side: str = SIDE_RIGHT) -> PDEstimate:
     z_grid = _sorted_quantiles(ranked, qs if right else 1.0 - qs) + 0.0
     counts = _cell_counts(ranked, z_grid, right)
     del ranked
-    passing = cond[all_ok]
+    passing = cond[on_side]
     passing.sort()
     hits = _cell_counts(passing, z_grid, right)
     for z, count in zip(z_grid, counts):
@@ -280,18 +282,22 @@ def negative_control_truncation(
     [-2m, 2m] and the pair (X, Y) violates positive dependence. The tail
     estimator must refuse (degenerate or insufficient) or return a fit
     whose window never crosses 2m.
+
+    The PD estimate conditions on Y, with the mask X >= 0. X is turned into
+    Y in place, and the sums are Y + Y with the flipped rows set to 0.0, the
+    bits of X + Y, since x + (-x) is +0.0; so the control holds one sample
+    array and two masks.
     """
     require_finite("m", m, positive=True)
-    x = sample_iid(spec, n, rng.child(0))
-    flip = np.abs(x) > m
-    # X and Y share one (n, 2) matrix, with Y = X negated where |X| > m
-    xy = np.repeat(x[:, None], 2, axis=1)
-    del x
-    np.negative(xy[:, 1], out=xy[:, 1], where=flip)
+    y = sample_iid(spec, n, rng.child(0))
+    right_ok = y >= 0
+    flip = np.abs(y) > m
+    np.negative(y, out=y, where=flip)
+    pd = estimate_pd_constant(y, right_ok)
+    del right_ok
+    sums = np.add(y, y, out=y)
+    sums[flip] = 0.0
     del flip
-    pd = estimate_pd_constant(xy)
-    sums = xy[:, 0] + xy[:, 1]
-    del xy
     # the bound facts read every sum: the fold keeps only the order statistics from q_lo up
     max_abs_sum = float(np.abs(sums).max())
     beyond = np.count_nonzero(sums >= 2.0 * m * (1.0 + 1e-12)) / sums.size
@@ -373,26 +379,23 @@ def weight_unit_product_samples(
     return out
 
 
-def _pd_pair(blocks, n: int, with_max: bool = False):
-    """The row blocks of an (n, N) joint reduced to ``[min of columns 0..N-2, column N-1]``.
+def _pd_masks(blocks, n: int):
+    """The row blocks of an (n, N) joint reduced to ``estimate_pd_constant``'s arguments, for both sides.
 
-    ``estimate_pd_constant`` asks whether every column but the last lies on one
-    side of zero: all >= 0 holds exactly when their minimum is >= 0, and all <= 0
-    exactly when their maximum is <= 0. So it gives the right-side estimate of the
-    joint on this pair, field for field, and the left-side one on the pair with
-    the row maximum of columns 0..N-2 in column 0. ``with_max`` also returns that
-    maximum (else None). Both go column by column: an ``axis=1`` reduction is
-    slower on so few columns.
+    Returns ``(cond, right_ok, left_ok)``: column N-1, and whether columns
+    0..N-2 all lie >= 0, or all <= 0. All >= 0 holds exactly when their
+    minimum is >= 0, and all <= 0 exactly when their maximum is <= 0, so the
+    masks come from the row minimum and maximum, and give the joint's
+    estimate on either side, field for field. Both go column by column: an
+    ``axis=1`` reduction is slower on so few columns.
     """
-    pair = np.empty((n, 2))
-    row_max = np.empty(n) if with_max else None
+    cond, right_ok, left_ok = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     for (lo, hi), block in zip(_row_blocks(n), blocks):
         others = block[:, :-1].T
-        pair[lo:hi, 0] = reduce(np.minimum, others)
-        pair[lo:hi, 1] = block[:, -1]
-        if with_max:
-            row_max[lo:hi] = reduce(np.maximum, others)
-    return pair, row_max
+        np.greater_equal(reduce(np.minimum, others), 0, out=right_ok[lo:hi])
+        np.less_equal(reduce(np.maximum, others), 0, out=left_ok[lo:hi])
+        cond[lo:hi] = block[:, -1]
+    return cond, right_ok, left_ok
 
 
 # ----------------------------- canned suite -----------------------------
@@ -442,18 +445,16 @@ def _truncation_result(name: str, rep: TruncationReport, passed: bool, **extra) 
 def _pd_independent_result(name: str, n_coords: int, expected: float, n: int, rng: RngStream) -> CheckResult:
     gen = rng.generator()
     # row blocks of one generator read the stream as one (n, n_coords) draw does
-    pair, _ = _pd_pair((gen.standard_normal((hi - lo, n_coords)) for lo, hi in _row_blocks(n)), n)
-    pd = estimate_pd_constant(pair)
+    cond, right_ok, _ = _pd_masks((gen.standard_normal((hi - lo, n_coords)) for lo, hi in _row_blocks(n)), n)
+    pd = estimate_pd_constant(cond, right_ok)
     return CheckResult(name, "pd", abs(pd.c_hat - expected) <= 0.05, {"pd": asdict(pd)})
 
 
 def _pd_counter_monotone_result(n: int, rng: RngStream) -> CheckResult:
-    pair = np.empty((n, 2))
+    """The pair (X, -X): conditioned on -X, with the mask X >= 0."""
     x = rng.generator().standard_normal(n)
-    pair[:, 0] = x
-    np.negative(x, out=pair[:, 1])
-    del x
-    pd = estimate_pd_constant(pair)
+    right_ok = x >= 0
+    pd = estimate_pd_constant(np.negative(x, out=x), right_ok)
     # PD is expected to fail here; the control passes when c_hat is tiny
     fields = {"pd": asdict(pd), "expected_fail_of_pd": True}
     return CheckResult("pd_counter_monotone_control", "pd", pd.c_hat <= 0.05, fields)
@@ -461,13 +462,10 @@ def _pd_counter_monotone_result(n: int, rng: RngStream) -> CheckResult:
 
 def _pd_lemma_result(n_units: int, n: int, rng: RngStream) -> CheckResult:
     """The lemma's checks on ``weight_unit_product_samples(n, n_units, rng)``, which is never held whole."""
-    with_max = n_units > 2  # with two units, the pair is the joint
-    pair, row_max = _pd_pair(_product_row_blocks(n, n_units, rng), n, with_max)
-    right = estimate_pd_constant(pair, side="right")
-    if with_max:
-        pair[:, 0] = row_max
-        del row_max
-    left = estimate_pd_constant(pair, side="left")
+    cond, right_ok, left_ok = _pd_masks(_product_row_blocks(n, n_units, rng), n)
+    right = estimate_pd_constant(cond, right_ok, side="right")
+    del right_ok
+    left = estimate_pd_constant(cond, left_ok, side="left")
     floor = 1.0 / 2 ** (n_units - 1) - 0.05
     passed = right.c_hat >= floor and left.c_hat >= floor
     fields = {"pd": asdict(right), "pd_left": asdict(left)}
@@ -479,8 +477,11 @@ def closure_suite(suite: str, seed: int, n: int, window: FitWindow):
 
     Check k draws from child stream k of ``seed`` in every suite. The PD
     checks and the truncation controls run at n >= 1e5, the PD estimate's
-    floor. PD checks run in helpers: a suspended generator keeps its locals
-    alive, so their sample matrices would stack on the next check's memory.
+    floor. Every PD check reduces its data, while it draws, to the
+    conditioning column and its side masks, and holds no (n, N) matrix. PD
+    checks run in helpers: a suspended generator keeps its locals alive, so
+    their columns and masks would stack on the next check's memory. The
+    envelope check folds the sample it owns in place.
     """
     require_choice("suite", suite, SUITES)
     require_integer("n", n, low=0)
@@ -523,7 +524,7 @@ def closure_suite(suite: str, seed: int, n: int, window: FitWindow):
             loose = loose and abs(rep.tail_estimate.beta_hat - gauss.tail_beta) <= tol
         yield _truncation_result("truncation_gaussian_m10", rep, loose)
         t3 = sample_iid(DistributionSpec.student_t(3.0), n, base.child(18))
-        tail = EmpiricalTail.from_samples(t3, q_keep=window.q_lo)
+        tail = EmpiricalTail.from_samples(t3, q_keep=window.q_lo, overwrite=True)
         holds = {f"beta_{b}": check_subweibull_envelope(tail, 1.0 / b, window) for b in (0.5, 1.0, 2.0)}
         fields = {"envelope_holds": holds, "expected_fail_of_envelopes": True}
         yield CheckResult("student_t_weibull_envelopes", "negative", not any(holds.values()), fields)

@@ -33,7 +33,6 @@ from gwt_lab import (
     check_product_rule,
     check_subweibull_envelope,
     check_sum_rule,
-    estimate_pd_constant,
     estimate_tail_index,
     negative_control_truncation,
     run_prior_monte_carlo,
@@ -41,6 +40,7 @@ from gwt_lab import (
     weight_unit_product_samples,
 )
 from gwt_lab.cli import main
+from test_closure_lab import pd_of_joint
 
 SEED = 20260811
 N_FULL = 10**6
@@ -197,15 +197,15 @@ def test_criterion_07_positive_dependence():
     """PD constants: independent triple, network products, counter-monotone."""
     failures = []
     joint3 = RngStream(SEED, 6000).generator().standard_normal((N_FULL, 3))
-    pd3 = estimate_pd_constant(joint3)
+    pd3 = pd_of_joint(joint3)
     if not report("7", abs(pd3.c_hat - 0.25) <= 0.05,
                   f"independent triple c_hat {pd3.c_hat:.4f} vs 1/4 +- 0.05"):
         failures.append("independent triple")
     for n_units in (2, 3, 4):
         joint = weight_unit_product_samples(N_FULL, n_units, RngStream(SEED, 6100 + n_units))
         floor = 1.0 / 2 ** (n_units - 1) - 0.05
-        right = estimate_pd_constant(joint, side="right")
-        left = estimate_pd_constant(joint, side="left")
+        right = pd_of_joint(joint, side="right")
+        left = pd_of_joint(joint, side="left")
         ok = report(
             "7", right.c_hat >= floor and left.c_hat >= floor,
             f"weight-unit products N={n_units}: right {right.c_hat:.4f}, "
@@ -214,7 +214,7 @@ def test_criterion_07_positive_dependence():
         if not ok:
             failures.append(f"products N={n_units}")
     x = RngStream(SEED, 6200).generator().standard_normal(N_FULL)
-    cm = estimate_pd_constant(np.column_stack([x, -x]))
+    cm = pd_of_joint(np.column_stack([x, -x]))
     if not report("7", cm.c_hat <= 0.05, f"counter-monotone c_hat {cm.c_hat:.4f} <= 0.05"):
         failures.append("counter-monotone")
     assert not failures, "; ".join(failures)

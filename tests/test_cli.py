@@ -1055,8 +1055,8 @@ def test_every_estimate_folds_at_its_window(tmp_path, monkeypatch):
         (dict(closure, suite="sum"), {0, 1}, [(0.9, True)] * 3),
         (dict(closure, suite="product"), {0, 1}, [(0.9, True)] * 3),
         (dict(closure, suite="power"), {0, 1}, [(0.9, True)] * 3),
-        # the two truncation controls own their sums; the student-t envelope check does not
-        (dict(closure, suite="negatives"), {0, 1}, [(0.9, True), (0.9, True), (0.9, False)]),
+        # the two truncation controls own their sums, and the student-t envelope check its draw
+        (dict(closure, suite="negatives"), {0, 1}, [(0.9, True)] * 3),
     ]
     for i, (cfg, statuses, expected) in enumerate(runs):
         folds.clear()

@@ -42,6 +42,14 @@ WINDOW = FitWindow()
 DEFAULT_Z = (0.5, 0.9, 0.99)  # the PD z-grid at N: the 0.999 cell would expect 200 events
 
 
+def pd_of_joint(joint, side="right"):
+    """``estimate_pd_constant`` of an (n, N) joint: its last column, and whether every other column lies on ``side``."""
+    joint = np.asarray(joint, dtype=np.float64)
+    others = joint[:, :-1]
+    on_side = (others >= 0) if side == "right" else (others <= 0)
+    return estimate_pd_constant(joint[:, -1], on_side.all(axis=1), side=side)
+
+
 class TestTolerance:
     def test_relative_band_dominates_when_stderr_small(self):
         assert closure_tolerance(2.0, 0.01) == pytest.approx(0.3)
@@ -62,27 +70,27 @@ class TestTolerance:
 class TestEstimatePdConstant:
     def test_independent_pair_is_half(self):
         joint = RngStream(1).generator().standard_normal((N, 2))
-        pd = estimate_pd_constant(joint)
+        pd = pd_of_joint(joint)
         assert abs(pd.c_hat - 0.5) <= 0.05
 
     def test_independent_triple_is_quarter(self):
         joint = RngStream(2).generator().standard_normal((N, 3))
-        pd = estimate_pd_constant(joint)
+        pd = pd_of_joint(joint)
         assert abs(pd.c_hat - 0.25) <= 0.05
 
     def test_left_side_mirror(self):
         joint = RngStream(3).generator().standard_normal((N, 2))
-        pd = estimate_pd_constant(joint, side="left")
+        pd = pd_of_joint(joint, side="left")
         assert abs(pd.c_hat - 0.5) <= 0.05
 
     def test_counter_monotone_pair_fails_pd(self):
         x = RngStream(4).generator().standard_normal(N)
-        pd = estimate_pd_constant(np.column_stack([x, -x]))
+        pd = pd_of_joint(np.column_stack([x, -x]))
         assert pd.c_hat <= 0.05
 
     def test_independent_conditionals_flat_in_z(self):
         joint = RngStream(5).generator().standard_normal((N, 2))
-        pd = estimate_pd_constant(joint)
+        pd = pd_of_joint(joint)
         assert pd.per_z_conditional.size == len(DEFAULT_Z)
         for q, p in zip(DEFAULT_Z, pd.per_z_conditional):
             cell = N * (1 - q)
@@ -91,7 +99,22 @@ class TestEstimatePdConstant:
     def test_small_sample_rejected(self):
         joint = np.zeros((1000, 2))
         with pytest.raises(InsufficientDataError):
-            estimate_pd_constant(joint)
+            pd_of_joint(joint)
+
+    @pytest.mark.parametrize(
+        "cond, on_side, match",
+        [
+            (np.zeros((8, 2)), np.ones(8, dtype=bool), "cond must be"),
+            (np.zeros(8), np.ones(8), "on_side must be"),
+            (np.zeros(8), np.ones(7, dtype=bool), "on_side must be"),
+            (np.zeros(8), np.ones((8, 1), dtype=bool), "on_side must be"),
+        ],
+        ids=["2d-cond", "float-mask", "short-mask", "column-mask"],
+    )
+    def test_refuses_what_is_not_a_column_and_its_bool_mask(self, cond, on_side, match):
+        """A raw column passed as the mask is refused, not read as its nonzero rows; before the size floor."""
+        with pytest.raises(ParameterError, match=match):
+            estimate_pd_constant(cond, on_side)
 
     def test_million_rows_keep_the_deepest_quantile(self):
         """At n = 1e6 the 0.999 cell holds exactly 1000 events, the fewest the cell rule allows."""
@@ -111,7 +134,7 @@ class TestEstimatePdConstant:
             joint = weight_unit_product_samples(N, n_units, RngStream(8 + n_units))
             floor = 1.0 / 2 ** (n_units - 1) - 0.05
             for side in ("right", "left"):
-                pd = estimate_pd_constant(joint, side=side)
+                pd = pd_of_joint(joint, side=side)
                 assert pd.c_hat >= floor
 
 
@@ -310,7 +333,7 @@ class TestTruncationControl:
 
     @pytest.mark.parametrize("m", [1.0, 10.0])
     def test_holds_few_sample_arrays(self, m):
-        """X and Y share one (n, 2) matrix, and it is gone before the fold partitions the sums in place."""
+        """X becomes Y in place and then the sums, so the control holds one sample array and two masks."""
         # a first call at the smallest PD size loads the modules numpy imports lazily
         negative_control_truncation(DistributionSpec.gaussian(), m, 10**5, RngStream(54))
         _, peak = traced_peak_bytes(lambda: negative_control_truncation(DistributionSpec.gaussian(), m, N, RngStream(54)))
@@ -369,8 +392,8 @@ class TestWeightUnitProducts:
         assert np.all(np.abs(zero_got - zero_ref) <= 4 * np.sqrt(2) * se)
         assert np.all(np.abs(zero_got - 17 / 32) <= 4 * se)
         for side in ("right", "left"):
-            p_got = estimate_pd_constant(got, side=side).per_z_conditional
-            p_ref = estimate_pd_constant(ref, side=side).per_z_conditional
+            p_got = pd_of_joint(got, side=side).per_z_conditional
+            p_ref = pd_of_joint(ref, side=side).per_z_conditional
             assert p_got.size == p_ref.size == len(DEFAULT_Z)
             cells = N * (1 - np.asarray(DEFAULT_Z))
             p = (p_got + p_ref) / 2
@@ -441,7 +464,7 @@ class TestPdMatchesReference:
             "lemma": weight_unit_product_samples(n, n_coords, RngStream(90 + n_coords)),
         }
         for (kind, joint), side in itertools.product(samples.items(), ("right", "left")):
-            got = estimate_pd_constant(joint, side=side)
+            got = pd_of_joint(joint, side=side)
             c_hat, z_grid, per_z, counts = pd_reference(joint, side)
             where = (kind, side)
             assert np.float64(got.c_hat).tobytes() == np.float64(c_hat).tobytes(), where
@@ -461,15 +484,15 @@ class TestPdMatchesReference:
         with pytest.raises(InsufficientDataError) as want:
             pd_reference(joint, side, min_cell_count)
         with pytest.raises(InsufficientDataError) as got:
-            estimate_pd_constant(joint, side=side)
+            pd_of_joint(joint, side=side)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_conditioning_value_rejected(self, bad):
-        joint = RngStream(9).generator().standard_normal((N, 3))
-        joint[17, -1] = bad
-        with pytest.raises(DomainError):
-            estimate_pd_constant(joint)
+        cond = RngStream(9).generator().standard_normal(N)
+        cond[17] = bad
+        with pytest.raises(DomainError, match="conditioning column must be finite"):
+            estimate_pd_constant(cond, np.ones(N, dtype=bool))
 
 
 def products_one_shot(n, n_units, rng):
@@ -509,7 +532,7 @@ class TestProductRowBlocks:
         assert peak < 2.5 * out.nbytes
 
     def test_closure_checks_hold_few_sample_arrays(self):
-        """No check of the full suite holds 5 float64 arrays of its sample size at once."""
+        """No check of the full suite holds 3 float64 arrays of its sample size at once."""
         n = 2 * 10**5
         checks = closure_suite("all", 7, n, WINDOW)
         peaks = {}
@@ -525,7 +548,7 @@ class TestProductRowBlocks:
         finally:
             tracemalloc.stop()
         assert len(peaks) == 18
-        assert max(peaks.values()) < 5, peaks
+        assert max(peaks.values()) < 3, peaks
 
 
 def assert_same_pd(got: dict, want: dict, where=None):
@@ -535,11 +558,11 @@ def assert_same_pd(got: dict, want: dict, where=None):
         assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), (where, key)
 
 
-class TestPdPair:
-    """The PD checks estimate on two columns what ``estimate_pd_constant`` gives on the whole joint."""
+class TestPdMasks:
+    """The PD checks estimate from the last column and two side masks what the whole joint gives."""
 
-    @pytest.mark.parametrize("n_coords", [2, 3, 4])
-    def test_pair_gives_the_joint_estimate_on_both_sides(self, n_coords):
+    @pytest.mark.parametrize("n_coords", [2, 3, 4, 5])
+    def test_masks_give_the_joint_estimate_on_both_sides(self, n_coords):
         n = 123_457
         samples = {
             "tied": tied_joint(n, n_coords, 60 + n_coords),
@@ -547,12 +570,12 @@ class TestPdPair:
         }
         for kind, joint in samples.items():
             blocks = (joint[lo:hi] for lo, hi in closure_lab._row_blocks(n))
-            pair, row_max = closure_lab._pd_pair(blocks, n, with_max=True)
-            right = estimate_pd_constant(pair, side="right")
-            assert_same_pd(asdict(right), asdict(estimate_pd_constant(joint, side="right")), (kind, "right"))
-            pair[:, 0] = row_max
-            left = estimate_pd_constant(pair, side="left")
-            assert_same_pd(asdict(left), asdict(estimate_pd_constant(joint, side="left")), (kind, "left"))
+            cond, right_ok, left_ok = closure_lab._pd_masks(blocks, n)
+            assert cond.tobytes() == joint[:, -1].tobytes(), kind
+            right = estimate_pd_constant(cond, right_ok, side="right")
+            assert_same_pd(asdict(right), asdict(pd_of_joint(joint, side="right")), (kind, "right"))
+            left = estimate_pd_constant(cond, left_ok, side="left")
+            assert_same_pd(asdict(left), asdict(pd_of_joint(joint, side="left")), (kind, "left"))
 
     @pytest.mark.parametrize("n_units", [2, 3, 4])
     def test_lemma_records_are_the_joint_estimates(self, n_units):
@@ -560,7 +583,7 @@ class TestPdPair:
         result = closure_lab._pd_lemma_result(n_units, n, RngStream(76))
         joint = weight_unit_product_samples(n, n_units, RngStream(76))
         for key, side in (("pd", "right"), ("pd_left", "left")):
-            assert_same_pd(result.fields[key], asdict(estimate_pd_constant(joint, side=side)), key)
+            assert_same_pd(result.fields[key], asdict(pd_of_joint(joint, side=side)), key)
 
     @pytest.mark.parametrize("n_coords", [2, 3])
     def test_independent_check_estimates_one_joint_draw(self, n_coords):
@@ -568,10 +591,10 @@ class TestPdPair:
         n = 10**5 + 17
         result = closure_lab._pd_independent_result("x", n_coords, 0.5, n, RngStream(77))
         joint = RngStream(77).generator().standard_normal((n, n_coords))
-        assert_same_pd(result.fields["pd"], asdict(estimate_pd_constant(joint)))
+        assert_same_pd(result.fields["pd"], asdict(pd_of_joint(joint)))
 
     def test_counter_monotone_control_estimates_x_and_minus_x(self):
         n = 10**5 + 17
         result = closure_lab._pd_counter_monotone_result(n, RngStream(78))
         x = RngStream(78).generator().standard_normal(n)
-        assert_same_pd(result.fields["pd"], asdict(estimate_pd_constant(np.column_stack([x, -x]))))
+        assert_same_pd(result.fields["pd"], asdict(pd_of_joint(np.column_stack([x, -x]))))
